@@ -10,16 +10,14 @@
 //
 //  * campaign tail latency — the motivating workload: complete the
 //    275-cell smoke campaign except for a handful of straggler cells,
-//    then time finishing that tail at 2 workers with nested cells
-//    (idle workers steal the stragglers' inner shards) against the old
-//    cell-granularity budget (--flat-cells semantics).  The aggregate
-//    ledger is byte-identical either way; only the wall clock moves.
+//    then time finishing that tail at 2 workers, where idle workers
+//    steal the stragglers' inner shards (the steal count shows it).
 //
 // Emits BENCH_sched.json, which tools/check_bench.py gates for
 // *presence* on every CI run; its metrics are all wall-clock-derived
 // and therefore skipped by the gate's default classification (shared
 // CI runners make tens-of-ms walls jitter by integer factors).
-// Meaningful tail speedups (>1) need >= 2 real cores.
+// Tail steals need >= 2 real cores to mean anything.
 //
 //===----------------------------------------------------------------------===//
 
@@ -108,7 +106,7 @@ int main() {
   // --- Campaign tail ------------------------------------------------------
   // Precompute the full smoke cross-product minus a shuffled 4-cell tail
   // once, then time completing the tail from identical copies of that
-  // state: nested cells vs the old flat cell-granularity budget.
+  // state.
   CampaignSpec Spec = benchCampaignSpec();
   Spec.Models = {ModelKind::DynaTree, ModelKind::Gp};
   Spec.Scorers = {ScorerKind::Alm, ScorerKind::Alc};
@@ -141,40 +139,29 @@ int main() {
   }
 
   constexpr int Repeats = 3;
-  double FlatWall = 1e300, NestedWall = 1e300;
+  double NestedWall = 1e300;
   uint64_t NestedSteals = 0;
   for (int Rep = 0; Rep != Repeats; ++Rep) {
-    for (bool Nested : {false, true}) {
-      std::string Scratch = "sched-tail-scratch";
-      copyStateDir(Master, Scratch);
-      CampaignOptions Tail;
-      Tail.StateDir = Scratch;
-      Tail.Threads = TailWorkers;
-      Tail.NestCells = Nested;
-      Tail.Quiet = true;
-      auto Start = std::chrono::steady_clock::now();
-      CampaignProgress Progress = runCampaignCells(Spec, Tail);
-      double Wall = secondsSince(Start);
-      if (!Progress.Complete)
-        fatalError("tail run did not complete the campaign");
-      if (Nested) {
-        NestedWall = std::min(NestedWall, Wall);
-        NestedSteals = std::max(NestedSteals, Progress.Steals);
-      } else {
-        FlatWall = std::min(FlatWall, Wall);
-      }
-      std::filesystem::remove_all(Scratch);
-    }
+    std::string Scratch = "sched-tail-scratch";
+    copyStateDir(Master, Scratch);
+    CampaignOptions Tail;
+    Tail.StateDir = Scratch;
+    Tail.Threads = TailWorkers;
+    Tail.Quiet = true;
+    auto Start = std::chrono::steady_clock::now();
+    CampaignProgress Progress = runCampaignCells(Spec, Tail);
+    double Wall = secondsSince(Start);
+    if (!Progress.Complete)
+      fatalError("tail run did not complete the campaign");
+    NestedWall = std::min(NestedWall, Wall);
+    NestedSteals = std::max(NestedSteals, Progress.Steals);
+    std::filesystem::remove_all(Scratch);
   }
   std::filesystem::remove_all(Master);
-  double TailSpeedup = NestedWall > 0.0 ? FlatWall / NestedWall : 0.0;
 
   printBanner("campaign tail (best of 3)");
-  Table TailTable({"mode", "wall (s)", "speedup", "steals"});
-  TailTable.addRow({"flat cells", formatString("%.3f", FlatWall), "1.00x",
-                    "-"});
-  TailTable.addRow({"nested cells", formatString("%.3f", NestedWall),
-                    formatString("%.2fx", TailSpeedup),
+  Table TailTable({"wall (s)", "steals"});
+  TailTable.addRow({formatString("%.3f", NestedWall),
                     std::to_string(NestedSteals)});
   TailTable.print();
 
@@ -191,11 +178,10 @@ int main() {
     std::fprintf(Json, "  ],\n");
     std::fprintf(Json,
                  "  \"tail\": {\"spec_cells\": %zu, \"tail_cells\": %zu, "
-                 "\"workers\": %u, \"flat_wall\": %.4f, "
-                 "\"nested_wall\": %.4f, \"tail_speedup\": %.4f, "
+                 "\"workers\": %u, \"nested_wall\": %.4f, "
                  "\"nested_steals\": %llu}\n",
-                 TotalCells, TailCells, TailWorkers, FlatWall, NestedWall,
-                 TailSpeedup, (unsigned long long)NestedSteals);
+                 TotalCells, TailCells, TailWorkers, NestedWall,
+                 (unsigned long long)NestedSteals);
     std::fprintf(Json, "}\n");
     std::fclose(Json);
     std::printf("written: BENCH_sched.json\n");
@@ -203,8 +189,8 @@ int main() {
 
   std::printf(
       "reading: the fan-out rows measure pure scheduler overhead under "
-      "nesting; tail_speedup > 1 needs >= 2 real cores — with fewer cells "
-      "than workers, flat cells leave workers idle while nested cells let "
-      "them steal the stragglers' particle/scoring shards.\n");
+      "nesting; with fewer tail cells than workers, nested_steals counts "
+      "the stragglers' particle/scoring shards idle workers took (needs "
+      ">= 2 real cores).\n");
   return 0;
 }

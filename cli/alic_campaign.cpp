@@ -13,8 +13,8 @@
 //
 // Kill it at any point; re-running the same command skips every completed
 // cell and produces a byte-identical BENCH_campaign.json.  --max-cells=K
-// stops after K new cells (exit code 75, EX_TEMPFAIL) for deterministic
-// interruption in tests and CI.
+// stops after exactly K new cells (exit code 75, EX_TEMPFAIL) for
+// deterministic interruption in tests and CI.
 //
 //===----------------------------------------------------------------------===//
 
@@ -80,12 +80,10 @@ std::vector<std::string> splitList(const std::string &Csv) {
       "  --threads=N|auto      scheduler workers; cells run as tasks and\n"
       "                        fork their inner shards onto the same pool\n"
       "                        (auto = hardware concurrency; 0 = inline)\n"
-      "  --flat-cells          keep cells model-internally sequential (the\n"
-      "                        pre-scheduler cell-granularity budget)\n"
       "  --state-dir=DIR       checkpoint ledger + dataset cache location\n"
       "                        (default: alic-campaign-<scale>)\n"
       "  --out=PATH            aggregate JSON (default: BENCH_campaign.json)\n"
-      "  --max-cells=K         stop after K new cells, exit %d (resume by\n"
+      "  --max-cells=K         start at most K new cells, exit %d (resume by\n"
       "                        re-running; 0 = run to completion)\n"
       "  --shuffle=SEED        execute missing cells in shuffled order\n"
       "  --no-noise            skip the per-benchmark noise-summary cells\n"
@@ -377,8 +375,6 @@ int main(int argc, char **argv) {
       else
         Options.Threads =
             unsigned(parseCount(argv[0], Value, "bad --threads value"));
-    } else if (std::strcmp(argv[I], "--flat-cells") == 0) {
-      Options.NestCells = false;
     } else if (parseFlag(argv[I], "--state-dir", Value)) {
       Options.StateDir = Value;
     } else if (parseFlag(argv[I], "--out", Value)) {
@@ -487,13 +483,13 @@ int main(int argc, char **argv) {
                 Options.ShardCount, Options.ledgerPath().c_str());
   else if (Options.LeaseClaim)
     std::printf("# lease claiming: ttl %llu ms, heartbeat %llu ms, %u "
-                "cell(s)/range, leases in %s\n",
+                "cell(s)/range, leases in %s -> %s\n",
                 (unsigned long long)Options.LeaseTtlMs,
                 (unsigned long long)(Options.LeaseHeartbeatMs
                                          ? Options.LeaseHeartbeatMs
                                          : Options.LeaseTtlMs / 4),
                 Options.LeaseRangeCells ? Options.LeaseRangeCells : 16,
-                Options.leaseDir().c_str());
+                Options.leaseDir().c_str(), Options.ledgerPath().c_str());
 
   CampaignProgress Progress = runCampaignCells(Spec, Options);
   std::printf("cells: %zu total, %zu already checkpointed, %zu run now\n",
@@ -503,11 +499,10 @@ int main(int argc, char **argv) {
                 Progress.TotalCells);
   if (Progress.WorkersUsed)
     std::printf("scheduler: %u worker(s), %llu task(s) executed "
-                "(%zu cells + nested shards), %llu steal(s)%s\n",
+                "(%zu cells + nested shards), %llu steal(s)\n",
                 Progress.WorkersUsed,
                 (unsigned long long)Progress.TasksExecuted, Progress.NewlyRun,
-                (unsigned long long)Progress.Steals,
-                Options.NestCells ? "" : " [flat cells]");
+                (unsigned long long)Progress.Steals);
   if (!Progress.QuarantinedCells.empty()) {
     std::fprintf(stderr,
                  "campaign: %zu cell(s) quarantined by ledger I/O "

@@ -46,6 +46,8 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -190,6 +192,23 @@ int main(int Argc, char **Argv) {
   const uint64_t DrainTimeoutMs =
       std::strtoull(DrainTimeout.c_str(), nullptr, 10);
 
+  // SIGTERM/SIGINT stay blocked everywhere except inside ppoll(), which
+  // atomically unblocks them for the wait: a signal landing between the
+  // loop-top GotSignal check and the wait stays pending and interrupts
+  // the next ppoll instead of being lost while the daemon blocks forever.
+  // Blocked before the engine starts any thread, so no worker thread
+  // (they inherit the mask) can swallow the signal either.
+  ::signal(SIGPIPE, SIG_IGN);
+  ::signal(SIGTERM, onSignal);
+  ::signal(SIGINT, onSignal);
+  sigset_t Stop, WaitMask;
+  sigemptyset(&Stop);
+  sigaddset(&Stop, SIGTERM);
+  sigaddset(&Stop, SIGINT);
+  ::pthread_sigmask(SIG_BLOCK, &Stop, &WaitMask);
+  sigdelset(&WaitMask, SIGTERM);
+  sigdelset(&WaitMask, SIGINT);
+
   ServeEngine Engine(Opts);
   size_t Skipped = 0;
   size_t Restored = Engine.restoreSessions(&Skipped);
@@ -199,9 +218,6 @@ int main(int Argc, char **Argv) {
 
   // Bind the listening socket.  A stale path from a killed daemon is
   // unlinked first — session state lives in --state-dir, not the socket.
-  ::signal(SIGPIPE, SIG_IGN);
-  ::signal(SIGTERM, onSignal);
-  ::signal(SIGINT, onSignal);
   int Listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (Listener < 0) {
     std::perror("alic_serve: socket");
@@ -301,10 +317,12 @@ int main(int Argc, char **Argv) {
     if (Draining)
       Consider(Now + 200 < DrainDeadlineMs ? Now + 200 : DrainDeadlineMs);
 
-    if (::poll(Fds.data(), nfds_t(Fds.size()), TimeoutMs) < 0) {
+    timespec Timeout = {TimeoutMs / 1000, long(TimeoutMs % 1000) * 1000000};
+    if (::ppoll(Fds.data(), nfds_t(Fds.size()),
+                TimeoutMs < 0 ? nullptr : &Timeout, &WaitMask) < 0) {
       if (errno == EINTR)
         continue; // likely SIGTERM: the loop top starts the drain
-      std::perror("alic_serve: poll");
+      std::perror("alic_serve: ppoll");
       break;
     }
     Now = nowMs();

@@ -17,14 +17,15 @@
 #include "support/Serialize.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unistd.h>
 #include <unordered_map>
@@ -552,231 +553,83 @@ CellResult computeCell(const CampaignSpec &Spec, const CampaignCell &Cell,
                               CellWorkers);
 }
 
-/// The spec's cells deduplicated by key, in canonical expandCells order —
-/// the list every sharding mode splits, so all workers agree on range
-/// boundaries without talking to each other.
-std::vector<const CampaignCell *>
-uniqueCells(const CampaignSpec &Spec, const std::vector<CampaignCell> &Cells) {
-  std::vector<const CampaignCell *> Unique;
+/// The spec's cells deduplicated by key, in canonical expandCells order,
+/// with their keys — the list every range source splits, so all workers
+/// agree on range boundaries without talking to each other.
+void uniqueCells(const CampaignSpec &Spec,
+                 const std::vector<CampaignCell> &Cells,
+                 std::vector<const CampaignCell *> &Unique,
+                 std::vector<std::string> &Keys) {
   std::unordered_set<std::string> Seen;
-  for (const CampaignCell &Cell : Cells)
-    if (Seen.insert(Cell.key(Spec)).second)
+  for (const CampaignCell &Cell : Cells) {
+    std::string Key = Cell.key(Spec);
+    if (Seen.insert(Key).second) {
       Unique.push_back(&Cell);
-  return Unique;
+      Keys.push_back(std::move(Key));
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
-// Lease-claim orchestration (dynamic multi-process sharding)
+// Range sources: the one thing the campaign modes do differently
 //===----------------------------------------------------------------------===//
 
-/// The lease-mode worker loop: claim a range of the canonical cell list,
-/// run its missing cells under a heartbeat, release, repeat — until the
-/// union of all worker ledgers covers the whole spec.  Ranges whose
-/// leases are held by live owners are polled; ranges whose owner died
-/// are stolen once the lease expires.  Leases are an efficiency
-/// mechanism only: any race at worst duplicates deterministic work (the
-/// merge dedupes byte-identical lines), it never corrupts results.
-CampaignProgress runLeaseCampaignCells(const CampaignSpec &Spec,
-                                       const CampaignOptions &BaseOptions) {
-  // Every lease worker appends to its own ledger; default a unique tag
-  // when the caller did not pick one.
-  CampaignOptions Options = BaseOptions;
-  if (Options.WorkerId.empty())
-    Options.WorkerId = "w" + std::to_string(int(::getpid()));
-  const char *Tag = Options.WorkerId.c_str();
+/// Where the executor's work comes from: contiguous ranges of the unique
+/// cell list.  Unsharded, all cells are one range done-checked against
+/// the canonical ledger; a static --shard=i/N worker owns range i of an
+/// N-way split, done-checked against the union of worker ledgers; a
+/// lease worker sees every range of --lease-range-cells cells and claims
+/// each through ShardLease before running it.
+struct RangeSource {
+  std::vector<ShardRange> Ranges;
+  /// Done-ness is the union of every worker ledger, not the canonical one
+  /// (a rebalanced or re-split fleet may have run our cells elsewhere).
+  bool FromUnion = false;
+  /// Lease mode only: the claim protocol; its holder rescans the union
+  /// after each range.
+  std::optional<ShardLease> Leases;
+  /// First range of the cyclic scan (lease mode spreads workers out).
+  size_t ScanStart = 0;
+};
 
-  CampaignProgress Progress;
-  std::vector<CampaignCell> Cells = expandCells(Spec);
-  std::vector<const CampaignCell *> Unique = uniqueCells(Spec, Cells);
-  Progress.TotalCells = Progress.ShardCells = Unique.size();
-
-  auto QuarantineAll = [&](const std::vector<const CampaignCell *> &List) {
-    for (const CampaignCell *Cell : List)
-      Progress.QuarantinedCells.push_back(Cell->key(Spec));
-  };
-
+RangeSource rangeSource(const CampaignOptions &Options, size_t NumCells) {
+  RangeSource Src;
+  Src.FromUnion = Options.sharded();
+  if (!Options.LeaseClaim) {
+    Src.Ranges = {Options.ShardCount
+                      ? splitRanges(NumCells, Options.ShardCount)
+                            [Options.ShardIndex % Options.ShardCount]
+                      : ShardRange{0, 0, NumCells}};
+    return Src;
+  }
+  Src.Ranges = splitRangesByCells(
+      NumCells, Options.LeaseRangeCells ? Options.LeaseRangeCells : 16);
   LeaseOptions LOpts;
   LOpts.Dir = Options.leaseDir();
-  LOpts.OwnerToken = makeLeaseOwnerToken(Options.WorkerId);
+  LOpts.OwnerToken = makeLeaseOwnerToken(Options.workerTag());
   LOpts.TtlMs = Options.LeaseTtlMs ? Options.LeaseTtlMs : 2000;
   LOpts.HeartbeatMs = Options.LeaseHeartbeatMs;
-  ShardLease Leases(LOpts);
-
-  Status Prepared = prepareStateDir(Options);
-  if (Prepared.ok())
-    Prepared = Leases.init();
-  if (!Prepared.ok()) {
-    std::fprintf(stderr,
-                 "campaign[%s]: %s — quarantining all missing cells\n", Tag,
-                 Prepared.message().c_str());
-    QuarantineAll(Unique);
-    return Progress;
-  }
-
-  std::unique_ptr<Scheduler> Pool;
-  if (Options.Threads) {
-    Scheduler::Options SchedOptions;
-    SchedOptions.Threads = Options.Threads;
-    if (Options.StealSeed)
-      SchedOptions.StealSeed = Options.StealSeed;
-    Pool = std::make_unique<Scheduler>(SchedOptions);
-    Progress.WorkersUsed = Pool->numThreads();
-  }
-  Scheduler *CellWorkers = Options.NestCells ? Pool.get() : nullptr;
-
-  std::FILE *Out = openLedgerAppend(Options.ledgerPath());
-  if (!Out) {
-    std::fprintf(stderr,
-                 "campaign[%s]: cannot open ledger %s for append: %s — "
-                 "quarantining all missing cells\n",
-                 Tag, Options.ledgerPath().c_str(), std::strerror(errno));
-    std::unordered_map<std::string, CellResult> Union =
-        loadLedgerUnion(Options.StateDir);
-    std::vector<const CampaignCell *> Missing;
-    for (const CampaignCell *Cell : Unique)
-      if (!Union.count(Cell->key(Spec)))
-        Missing.push_back(Cell);
-    Progress.AlreadyDone = Unique.size() - Missing.size();
-    QuarantineAll(Missing);
-    std::sort(Progress.QuarantinedCells.begin(),
-              Progress.QuarantinedCells.end());
-    return Progress;
-  }
-
-  std::vector<ShardRange> Ranges = splitRangesByCells(
-      Unique.size(), Options.LeaseRangeCells ? Options.LeaseRangeCells : 16);
-  std::vector<char> Poisoned(Ranges.size(), 0);
-
-  std::unordered_map<std::string, Dataset> Datasets;
-  std::mutex WriteMutex;
-  size_t Completed = 0, Appended = 0;
-  bool NeedSeal = false;
-  std::atomic<bool> Interrupted{false};
-
   // Start the cyclic claim scan at a token-derived offset so K workers
   // spread across the range list instead of all contending for range 0.
   uint64_t TokenHash = 0;
   for (char C : LOpts.OwnerToken)
     TokenHash = TokenHash * 131 + uint8_t(C);
-  size_t ScanStart = Ranges.empty() ? 0 : size_t(TokenHash % Ranges.size());
-
-  bool AllDone = false;
-  bool CountedInitial = false;
-  while (!Interrupted.load(std::memory_order_relaxed)) {
-    // What is done *anywhere* — all worker ledgers plus the canonical one
-    // — decides both global completion and which ranges still matter.
-    std::unordered_map<std::string, CellResult> Union =
-        loadLedgerUnion(Options.StateDir);
-    if (!CountedInitial) {
-      CountedInitial = true;
-      for (const CampaignCell *Cell : Unique)
-        if (Union.count(Cell->key(Spec)))
-          ++Progress.AlreadyDone;
-    }
-
-    bool AnyMissing = false, AnyUnpoisoned = false, RanRange = false;
-    for (size_t Off = 0; Off != Ranges.size(); ++Off) {
-      const ShardRange &Range = Ranges[(ScanStart + Off) % Ranges.size()];
-      std::vector<const CampaignCell *> Missing;
-      for (size_t I = Range.Begin; I != Range.End; ++I)
-        if (!Union.count(Unique[I]->key(Spec)))
-          Missing.push_back(Unique[I]);
-      if (Missing.empty())
-        continue;
-      AnyMissing = true;
-      if (Poisoned[Range.Index])
-        continue; // our appends failed here; leave it to other workers
-      AnyUnpoisoned = true;
-
-      RangeLease Lease;
-      if (Leases.tryClaim(Range.Index, Lease) != ShardLease::Claim::Acquired)
-        continue; // live owner, or we lost a claim/steal race — rescan later
-      RanRange = true;
-      if (!Options.Quiet)
-        std::fprintf(stderr,
-                     "  campaign[%s] leased range %zu (%zu missing cell(s))\n",
-                     Tag, Range.Index, Missing.size());
-
-      std::vector<std::string> Benchmarks;
-      for (const CampaignCell *Cell : Missing)
-        if (Cell->CellKind == CampaignCell::Kind::Run)
-          Benchmarks.push_back(Cell->Benchmark);
-      ensureDatasets(Spec, Options, Pool.get(), Benchmarks, Datasets);
-
-      std::atomic<bool> RangeFailed{false};
-      {
-        LeaseHeartbeat Heartbeat(Lease, LOpts);
-        forEachIndex(Pool.get(), Missing.size(), [&](size_t I) {
-          // A lost heartbeat means the range was stolen: abandon the
-          // rest (the thief recomputes them — safe, just duplicated
-          // work).  A failed append poisons the range for this worker.
-          if (Heartbeat.lost() || RangeFailed.load(std::memory_order_relaxed) ||
-              Interrupted.load(std::memory_order_relaxed))
-            return;
-          const CampaignCell &Cell = *Missing[I];
-          CellResult Result = computeCell(Spec, Cell, Datasets, CellWorkers);
-          std::string Key = Cell.key(Spec);
-          std::string Line = cellLine(Key, Cell.CellKind, Result);
-
-          std::lock_guard<std::mutex> Lock(WriteMutex);
-          Status St =
-              appendLineWithRetry(Out, Options.ledgerPath(), Line, NeedSeal);
-          ++Completed;
-          if (St.ok()) {
-            ++Appended;
-            if (!Options.Quiet)
-              std::fprintf(stderr, "  campaign[%s] [+%zu] %s\n", Tag,
-                           Appended, Key.c_str());
-            if (Options.MaxCells && Appended >= Options.MaxCells)
-              Interrupted.store(true, std::memory_order_relaxed);
-          } else {
-            Progress.QuarantinedCells.push_back(Key);
-            RangeFailed.store(true, std::memory_order_relaxed);
-            std::fprintf(stderr, "  campaign[%s] QUARANTINED %s: %s\n", Tag,
-                         Key.c_str(), St.message().c_str());
-          }
-        });
-      } // heartbeat stopped (joined) before the lease is touched again
-      if (RangeFailed.load(std::memory_order_relaxed))
-        Poisoned[Range.Index] = 1;
-      Lease.release();
-      // Rescan from a fresh union after every range: cheap at campaign
-      // scales, and it avoids claiming ranges another worker finished
-      // while we were busy.
-      break;
-    }
-
-    if (Interrupted.load(std::memory_order_relaxed))
-      break;
-    if (RanRange)
-      continue;
-    if (!AnyMissing) {
-      AllDone = true;
-      break;
-    }
-    if (!AnyUnpoisoned)
-      break; // everything left failed locally: give up with quarantine
-    // Remaining ranges are leased by (apparently) live owners: wait one
-    // heartbeat and rescan.  A dead owner's lease expires TtlMs after its
-    // last renewal and the next scan steals it.
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(LOpts.heartbeatMs()));
-  }
-  std::fclose(Out);
-
-  if (Pool) {
-    SchedulerStats Stats = Pool->stats();
-    Progress.TasksExecuted = Stats.Executed;
-    Progress.Steals = Stats.Steals;
-  }
-  Progress.NewlyRun = Appended;
-  std::sort(Progress.QuarantinedCells.begin(),
-            Progress.QuarantinedCells.end());
-  Progress.Complete = AllDone && Progress.QuarantinedCells.empty();
-  return Progress;
+  if (!Src.Ranges.empty())
+    Src.ScanStart = size_t(TokenHash % Src.Ranges.size());
+  Src.Leases.emplace(std::move(LOpts));
+  return Src;
 }
 
 } // namespace
+
+std::string CampaignOptions::workerTag() const {
+  if (!WorkerId.empty())
+    return WorkerId;
+  if (ShardCount)
+    return "shard" + std::to_string(ShardIndex) + "of" +
+           std::to_string(ShardCount);
+  return LeaseClaim ? "w" + std::to_string(int(::getpid())) : "";
+}
 
 //===----------------------------------------------------------------------===//
 // Orchestration
@@ -784,136 +637,184 @@ CampaignProgress runLeaseCampaignCells(const CampaignSpec &Spec,
 
 CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
                                         const CampaignOptions &Options) {
-  if (Options.LeaseClaim)
-    return runLeaseCampaignCells(Spec, Options);
-
   std::vector<CampaignCell> Cells = expandCells(Spec);
-  CampaignProgress Progress;
+  std::vector<const CampaignCell *> Unique;
+  std::vector<std::string> Keys;
+  uniqueCells(Spec, Cells, Unique, Keys);
+  RangeSource Src = rangeSource(Options, Unique.size());
+  const std::string LedgerPath = Options.ledgerPath();
+  const std::string Label =
+      Options.sharded() ? "campaign[" + Options.workerTag() + "]"
+                        : "campaign";
+  const char *Tag = Label.c_str();
 
-  // Quarantines every still-missing cell: nothing was lost (the cells are
-  // simply not in the ledger), a re-launch retries exactly them.
-  auto QuarantineAll = [&Progress](const CampaignSpec &S,
-                                   const std::vector<const CampaignCell *>
-                                       &Cells) {
-    for (const CampaignCell *Cell : Cells)
-      Progress.QuarantinedCells.push_back(Cell->key(S));
+  CampaignProgress Progress;
+  Progress.TotalCells = Unique.size();
+  for (const ShardRange &Range : Src.Ranges)
+    Progress.ShardCells += Range.size();
+
+  // Settled[I]: cell I needs nothing more from this invocation — it is in
+  // the ledger(s), or this invocation quarantined it.
+  std::vector<char> Settled(Unique.size(), 0);
+  // Quarantines every unsettled cell this invocation owns: nothing was
+  // lost (the cells are simply not in the ledger), a re-launch retries
+  // exactly them.
+  auto QuarantineUnsettled = [&] {
+    for (const ShardRange &Range : Src.Ranges)
+      for (size_t I = Range.Begin; I != Range.End; ++I)
+        if (!Settled[I]) {
+          Settled[I] = 1;
+          Progress.QuarantinedCells.push_back(Keys[I]);
+        }
+  };
+  auto Refresh = [&] {
+    std::unordered_map<std::string, CellResult> Done =
+        Src.FromUnion ? loadLedgerUnion(Options.StateDir)
+                      : loadLedger(LedgerPath);
+    for (size_t I = 0; I != Keys.size(); ++I)
+      if (Done.count(Keys[I]))
+        Settled[I] = 1;
   };
 
-  // Unique cells in canonical spec order (unique keys, so a pathological
-  // spec with duplicates still completes), then — under static sharding —
-  // this worker's contiguous slice of that list.  Every worker computes
-  // the same split locally, so the shards are disjoint and exhaustive
-  // with no coordination.
-  std::vector<const CampaignCell *> Unique = uniqueCells(Spec, Cells);
-  Progress.TotalCells = Unique.size();
-  std::vector<const CampaignCell *> Ours;
-  if (Options.ShardCount) {
-    std::vector<ShardRange> Ranges =
-        splitRanges(Unique.size(), Options.ShardCount);
-    const ShardRange &Range = Ranges[Options.ShardIndex % Ranges.size()];
-    Ours.assign(Unique.begin() + Range.Begin, Unique.begin() + Range.End);
-  } else {
-    Ours = Unique;
-  }
-  Progress.ShardCells = Ours.size();
-
   Status Prepared = prepareStateDir(Options);
+  if (Prepared.ok() && Src.Leases)
+    Prepared = Src.Leases->init();
   if (!Prepared.ok()) {
-    std::fprintf(stderr,
-                 "campaign: %s — quarantining all missing cells\n",
+    std::fprintf(stderr, "%s: %s — quarantining all missing cells\n", Tag,
                  Prepared.message().c_str());
-    QuarantineAll(Spec, Ours);
+    QuarantineUnsettled();
+    std::sort(Progress.QuarantinedCells.begin(),
+              Progress.QuarantinedCells.end());
     return Progress;
   }
+  Refresh();
+  for (const ShardRange &Range : Src.Ranges)
+    for (size_t I = Range.Begin; I != Range.End; ++I)
+      Progress.AlreadyDone += Settled[I];
 
-  // Done-ness: the canonical ledger alone (unsharded), or the union of
-  // every worker ledger when sharded (a rebalanced or re-split fleet may
-  // have left our cells in another worker's ledger).
-  std::unordered_map<std::string, CellResult> Ledger =
-      Options.sharded() ? loadLedgerUnion(Options.StateDir)
-                        : loadLedger(Options.ledgerPath());
-
-  std::vector<const CampaignCell *> Missing;
-  for (const CampaignCell *Cell : Ours)
-    if (!Ledger.count(Cell->key(Spec)))
-      Missing.push_back(Cell);
-  Progress.AlreadyDone = Ours.size() - Missing.size();
-
-  if (Options.ShuffleSeed) {
-    Rng Shuffler(Options.ShuffleSeed);
-    Shuffler.shuffle(Missing);
-  }
-  bool Truncated = Options.MaxCells && Missing.size() > Options.MaxCells;
-  if (Truncated)
-    Missing.resize(Options.MaxCells);
-
-  if (Missing.empty()) {
-    Progress.Complete = !Truncated && Progress.AlreadyDone ==
-                                          Progress.ShardCells;
-    return Progress;
-  }
-
+  // Built for the first range with work, so a rerun on a complete ledger
+  // starts no scheduler, loads no dataset, and opens no ledger.
   std::unique_ptr<Scheduler> Pool;
-  if (Options.Threads) {
-    Scheduler::Options SchedOptions;
-    SchedOptions.Threads = Options.Threads;
-    if (Options.StealSeed)
-      SchedOptions.StealSeed = Options.StealSeed;
-    Pool = std::make_unique<Scheduler>(SchedOptions);
-    Progress.WorkersUsed = Pool->numThreads();
-  }
-  Scheduler *CellWorkers = Options.NestCells ? Pool.get() : nullptr;
-
-  // Memoize each needed benchmark's dataset once, up front (the blob
-  // cache makes this a deserialize on every run after the first).
-  std::vector<std::string> NeededBenchmarks;
-  for (const CampaignCell *Cell : Missing)
-    if (Cell->CellKind == CampaignCell::Kind::Run)
-      NeededBenchmarks.push_back(Cell->Benchmark);
   std::unordered_map<std::string, Dataset> Datasets;
-  ensureDatasets(Spec, Options, Pool.get(), NeededBenchmarks, Datasets);
-
-  std::FILE *Out = openLedgerAppend(Options.ledgerPath());
-  if (!Out) {
-    std::fprintf(stderr,
-                 "campaign: cannot open ledger %s for append: %s — "
-                 "quarantining all missing cells\n",
-                 Options.ledgerPath().c_str(), std::strerror(errno));
-    QuarantineAll(Spec, Missing);
-    return Progress;
-  }
+  std::FILE *Out = nullptr;
 
   std::mutex WriteMutex;
   size_t Completed = 0, Appended = 0;
+  size_t Budget = Options.MaxCells ? Options.MaxCells : SIZE_MAX;
   bool NeedSeal = false; // a failed append may have left a torn remnant
-  forEachIndex(Pool.get(), Missing.size(), [&](size_t I) {
-    const CampaignCell &Cell = *Missing[I];
-    CellResult Result = computeCell(Spec, Cell, Datasets, CellWorkers);
-    std::string Key = Cell.key(Spec);
-    std::string Line = cellLine(Key, Cell.CellKind, Result);
+  bool Stopped = false;  // budget spent, or the ledger cannot be opened
+  while (!Stopped) {
+    bool Ran = false, Waiting = false;
+    for (size_t Off = 0; Off != Src.Ranges.size() && !Ran && !Stopped;
+         ++Off) {
+      const ShardRange &Range =
+          Src.Ranges[(Src.ScanStart + Off) % Src.Ranges.size()];
+      std::vector<size_t> Missing;
+      for (size_t I = Range.Begin; I != Range.End; ++I)
+        if (!Settled[I])
+          Missing.push_back(I);
+      if (Missing.empty())
+        continue;
+      if (!Budget) {
+        Stopped = true;
+        break;
+      }
+      RangeLease Lease;
+      if (Src.Leases &&
+          Src.Leases->tryClaim(Range.Index, Lease) !=
+              ShardLease::Claim::Acquired) {
+        Waiting = true; // live owner, or we lost a claim/steal race
+        continue;
+      }
+      if (!Out && !(Out = openLedgerAppend(LedgerPath))) {
+        std::fprintf(stderr,
+                     "%s: cannot open ledger %s for append: %s — "
+                     "quarantining all missing cells\n",
+                     Tag, LedgerPath.c_str(), std::strerror(errno));
+        QuarantineUnsettled();
+        Stopped = true;
+        break;
+      }
+      Ran = true;
+      if (Src.Leases && !Options.Quiet)
+        std::fprintf(stderr, "  %s leased range %zu (%zu missing cell(s))\n",
+                     Tag, Range.Index, Missing.size());
 
-    std::lock_guard<std::mutex> Lock(WriteMutex);
-    // One flushed + synced write per cell: a crash loses at most the
-    // in-flight line, which the parser skips on resume.  An append that
-    // still fails after the bounded retries quarantines this cell — the
-    // rest of the campaign keeps running, and a re-launch retries exactly
-    // the quarantined keys (they are simply missing from the ledger).
-    Status St = appendLineWithRetry(Out, Options.ledgerPath(), Line, NeedSeal);
-    ++Completed;
-    if (St.ok()) {
-      ++Appended;
-      if (!Options.Quiet)
-        std::fprintf(stderr, "  campaign [%zu/%zu] %s\n",
-                     Progress.AlreadyDone + Completed, Progress.ShardCells,
-                     Key.c_str());
-    } else {
-      Progress.QuarantinedCells.push_back(Key);
-      std::fprintf(stderr, "  campaign [%zu/%zu] QUARANTINED %s: %s\n",
-                   Progress.AlreadyDone + Completed, Progress.ShardCells,
-                   Key.c_str(), St.message().c_str());
+      if (Options.ShuffleSeed) {
+        Rng Shuffler(Options.ShuffleSeed);
+        Shuffler.shuffle(Missing);
+      }
+      if (Missing.size() > Budget)
+        Missing.resize(Budget);
+      if (!Pool && Options.Threads) {
+        Scheduler::Options SchedOptions;
+        SchedOptions.Threads = Options.Threads;
+        if (Options.StealSeed)
+          SchedOptions.StealSeed = Options.StealSeed;
+        Pool = std::make_unique<Scheduler>(SchedOptions);
+        Progress.WorkersUsed = Pool->numThreads();
+      }
+      std::vector<std::string> Benchmarks;
+      for (size_t I : Missing)
+        if (Unique[I]->CellKind == CampaignCell::Kind::Run)
+          Benchmarks.push_back(Unique[I]->Benchmark);
+      ensureDatasets(Spec, Options, Pool.get(), Benchmarks, Datasets);
+
+      std::optional<LeaseHeartbeat> Heartbeat;
+      if (Lease.held())
+        Heartbeat.emplace(Lease, Src.Leases->options());
+      size_t CompletedBefore = Completed;
+      forEachIndex(Pool.get(), Missing.size(), [&](size_t J) {
+        // A lost heartbeat means the range was stolen: abandon the rest
+        // (the thief recomputes them — safe, just duplicated work).
+        if (Heartbeat && Heartbeat->lost())
+          return;
+        size_t I = Missing[J];
+        const CampaignCell &Cell = *Unique[I];
+        CellResult Result = computeCell(Spec, Cell, Datasets, Pool.get());
+        std::string Line = cellLine(Keys[I], Cell.CellKind, Result);
+
+        std::lock_guard<std::mutex> Lock(WriteMutex);
+        // One flushed + synced write per cell: a crash loses at most the
+        // in-flight line, which the parser skips on resume.  An append
+        // that still fails after the bounded retries quarantines this
+        // cell — the rest of the campaign keeps running, and a re-launch
+        // retries exactly the quarantined keys.
+        Status St = appendLineWithRetry(Out, LedgerPath, Line, NeedSeal);
+        Settled[I] = 1;
+        ++Completed;
+        if (St.ok()) {
+          ++Appended;
+          if (!Options.Quiet)
+            std::fprintf(stderr, "  %s [%zu/%zu] %s\n", Tag,
+                         Progress.AlreadyDone + Completed,
+                         Progress.ShardCells, Keys[I].c_str());
+        } else {
+          Progress.QuarantinedCells.push_back(Keys[I]);
+          std::fprintf(stderr, "  %s [%zu/%zu] QUARANTINED %s: %s\n", Tag,
+                       Progress.AlreadyDone + Completed, Progress.ShardCells,
+                       Keys[I].c_str(), St.message().c_str());
+        }
+      });
+      Heartbeat.reset(); // stopped (joined) before the lease is released
+      Budget -= Completed - CompletedBefore; // cells actually started
     }
-  });
-  std::fclose(Out);
+    if (!Ran && !Stopped) {
+      if (!Waiting)
+        break; // nothing left that this invocation can run
+      // The remaining ranges are leased by (apparently) live owners: wait
+      // one heartbeat and rescan.  A dead owner's lease expires TtlMs
+      // after its last renewal and the next scan steals it.
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(Src.Leases->options().heartbeatMs()));
+    }
+    // Lease workers rescan the union after every range: cheap at campaign
+    // scales, and it skips ranges another worker finished meanwhile.
+    if (Src.Leases)
+      Refresh();
+  }
+  if (Out)
+    std::fclose(Out);
 
   if (Pool) {
     SchedulerStats Stats = Pool->stats();
@@ -924,8 +825,7 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
   // Completion order varies across worker counts; report deterministically.
   std::sort(Progress.QuarantinedCells.begin(),
             Progress.QuarantinedCells.end());
-  Progress.Complete = Progress.QuarantinedCells.empty() &&
-                      Progress.AlreadyDone + Completed == Progress.ShardCells;
+  Progress.Complete = !Stopped && Progress.QuarantinedCells.empty();
   return Progress;
 }
 

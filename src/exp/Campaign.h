@@ -174,20 +174,15 @@ struct CampaignOptions {
   /// Scheduler workers; 0 runs cells inline with no scheduler at all.
   /// Aggregate output is byte-identical at any value.
   unsigned Threads = 0;
-  /// Cells fork their inner work (model updates, candidate scoring,
-  /// batched measurement) onto the campaign scheduler, so idle workers
-  /// steal inner shards at the campaign tail.  Disable to pin the old
-  /// cell-granularity budget (bench_scheduler's flat baseline).  Results
-  /// are bit-identical either way.
-  bool NestCells = true;
   /// Non-zero: overrides the scheduler's victim-selection seed (stress
   /// tests force different steal interleavings; results never depend on
   /// it).
   uint64_t StealSeed = 0;
   /// Ledger + dataset-cache directory; created on demand.
   std::string StateDir = "alic-campaign";
-  /// Stop after completing this many new cells (0 = run to completion) —
+  /// Start at most this many new cells (0 = run to completion) —
   /// deterministic mid-campaign interruption for the resume tests and CI.
+  /// Every sharding mode starts exactly min(MaxCells, missing) cells.
   size_t MaxCells = 0;
   /// Non-zero: execute missing cells in a seeded shuffled order instead of
   /// spec order (completion-order-invariance tests).
@@ -221,19 +216,22 @@ struct CampaignOptions {
   unsigned LeaseRangeCells = 16;
   /// Per-worker ledger tag: appends go to cells.<WorkerId>.jsonl.  Empty
   /// defaults to the canonical ledger (unsharded), a shard<i>of<N> tag
-  /// (static sharding), or w<pid> (lease claiming).
+  /// (static sharding), or w<pid> (lease claiming) — see workerTag().
   std::string WorkerId;
 
   /// True when this invocation runs as one worker of a sharded campaign.
   bool sharded() const { return ShardCount > 0 || LeaseClaim; }
 
+  /// WorkerId, or its per-mode default: "" unsharded, shard<i>of<N> under
+  /// static sharding, w<pid> when lease claiming.  A pure function of the
+  /// options and the process, so the executor and the CLI always name
+  /// the same ledger.
+  std::string workerTag() const;
+
   /// The ledger this invocation appends to: the canonical ledger, or the
-  /// per-worker ledger when sharded (see WorkerId).
+  /// per-worker ledger cells.<workerTag()>.jsonl when tagged.
   std::string ledgerPath() const {
-    std::string Tag = WorkerId;
-    if (Tag.empty() && ShardCount)
-      Tag = "shard" + std::to_string(ShardIndex) + "of" +
-            std::to_string(ShardCount);
+    std::string Tag = workerTag();
     return Tag.empty() ? canonicalLedgerPath()
                        : StateDir + "/cells." + Tag + ".jsonl";
   }
@@ -279,20 +277,23 @@ std::vector<CampaignCell> expandCells(const CampaignSpec &Spec);
 /// Options.Threads workers; each completed cell is appended to the ledger
 /// crash-safely (single flushed+synced write).  Honors MaxCells.
 ///
+/// One executor serves every mode; only its *range source* differs.
+/// Unsharded, all cells form one range, done-checked against the
+/// canonical ledger.  With ShardCount set, this worker's static slice
+/// splitRanges(...)[ShardIndex] is the one range, done-checked against
+/// the union of worker ledgers.  With LeaseClaim set, the worker claims
+/// ranges dynamically through exp/ShardLease and rescans the union after
+/// each one, returning once *every* spec cell is in it.  Sharded workers
+/// append to their per-worker ledger and mergeLedgers() folds the shards
+/// back into the canonical one.  A rerun with nothing missing starts no
+/// scheduler, loads no dataset, and opens no ledger for append.
+///
 /// Ledger I/O failures *degrade* instead of aborting: a failed append is
 /// retried with bounded exponential backoff (fault-injection sites
 /// `ledger.append` / `ledger.sync`), and a cell whose append still fails
 /// is quarantined (Progress.QuarantinedCells) while the rest of the
 /// campaign completes.  A state dir or ledger that cannot be opened at
 /// all quarantines every missing cell without computing any.
-///
-/// Multi-process modes (see CampaignOptions): with ShardCount set, only
-/// this worker's static slice of the canonical cell list runs; with
-/// LeaseClaim set, the worker claims cell ranges dynamically through
-/// exp/ShardLease and returns once *every* spec cell is present in the
-/// union of worker ledgers.  Either way appends go to the per-worker
-/// ledger and mergeLedgers() folds the shards back into the canonical
-/// one.
 CampaignProgress runCampaignCells(const CampaignSpec &Spec,
                                   const CampaignOptions &Options);
 

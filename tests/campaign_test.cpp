@@ -53,6 +53,76 @@ std::string freshStateDir(const std::string &Name) {
   return Dir;
 }
 
+/// The executor's three range sources, as the tests drive them.
+enum class Source { Unsharded, Static, Lease };
+
+std::string sourceName(const ::testing::TestParamInfo<Source> &Info) {
+  switch (Info.param) {
+  case Source::Unsharded:
+    return "Unsharded";
+  case Source::Static:
+    return "Static";
+  case Source::Lease:
+    return "Lease";
+  }
+  return "Unknown";
+}
+
+/// Options for a fresh state dir under \p Kind.  The static source is a
+/// one-way split (so it owns every cell, like the others); the lease
+/// source splits the tiny spec into several 4-cell ranges and leaves
+/// WorkerId empty, so the default w<pid> ledger is exercised too.
+CampaignOptions sourceOptions(Source Kind, const std::string &Name) {
+  CampaignOptions Options;
+  Options.StateDir = freshStateDir(Name);
+  Options.Quiet = true;
+  if (Kind == Source::Static)
+    Options.ShardCount = 1;
+  if (Kind == Source::Lease) {
+    Options.LeaseClaim = true;
+    Options.LeaseRangeCells = 4;
+  }
+  return Options;
+}
+
+/// Aggregates what runs under \p Options left behind: sharded sources
+/// merge their worker ledgers into the canonical one first.  False when
+/// any spec cell is missing.
+bool aggregateState(const CampaignSpec &Spec, const CampaignOptions &Options,
+                    CampaignResult &Out) {
+  CampaignOptions Canonical;
+  Canonical.StateDir = Options.StateDir;
+  if (Options.sharded()) {
+    LedgerMergeReport Report;
+    if (!mergeLedgers(Spec, Canonical, Report).ok() || !Report.Wrote)
+      return false;
+  }
+  return aggregateCampaign(Spec, Canonical, Out);
+}
+
+std::string readFileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Complete lines (with their '\n') of a ledger file.
+std::vector<std::string> ledgerLines(const std::string &Path) {
+  std::vector<std::string> Lines;
+  std::string Bytes = readFileBytes(Path);
+  size_t Pos = 0;
+  while (Pos < Bytes.size()) {
+    size_t Nl = Bytes.find('\n', Pos);
+    if (Nl == std::string::npos)
+      break;
+    Lines.push_back(Bytes.substr(Pos, Nl - Pos + 1));
+    Pos = Nl + 1;
+  }
+  return Lines;
+}
+
+class CampaignSourceTest : public ::testing::TestWithParam<Source> {};
+
 std::string runToJson(const CampaignSpec &Spec, CampaignOptions Options) {
   Options.Quiet = true;
   CampaignResult Result;
@@ -103,10 +173,9 @@ TEST(CampaignTest, AggregateIdenticalAcrossWorkerCounts) {
   EXPECT_FALSE(Reference.empty());
 }
 
-TEST(CampaignTest, AggregateIdenticalUnderStealInterleavingsAndFlatCells) {
-  // Forced steal interleavings (varied victim-selection seeds) and the
-  // flat cell-granularity fallback must all render the same bytes as the
-  // inline reference.
+TEST(CampaignTest, AggregateIdenticalUnderStealInterleavings) {
+  // Forced steal interleavings (varied victim-selection seeds) must all
+  // render the same bytes as the inline reference.
   CampaignSpec Spec = tinySpec();
   CampaignOptions Inline;
   Inline.StateDir = freshStateDir("steal-ref");
@@ -122,14 +191,6 @@ TEST(CampaignTest, AggregateIdenticalUnderStealInterleavingsAndFlatCells) {
         << "steal seed " << StealSeed << " changed the aggregate";
     std::filesystem::remove_all(Nested.StateDir);
   }
-
-  CampaignOptions Flat;
-  Flat.StateDir = freshStateDir("flat");
-  Flat.Threads = 2;
-  Flat.NestCells = false;
-  EXPECT_EQ(runToJson(Spec, Flat), Reference)
-      << "flat cell-granularity execution changed the aggregate";
-  std::filesystem::remove_all(Flat.StateDir);
 }
 
 TEST(CampaignTest, AggregateIdenticalUnderShuffledCompletionOrder) {
@@ -151,18 +212,17 @@ TEST(CampaignTest, AggregateIdenticalUnderShuffledCompletionOrder) {
   std::filesystem::remove_all(Ordered.StateDir);
 }
 
-TEST(CampaignTest, InterruptAndResumeMatchesUninterrupted) {
+TEST_P(CampaignSourceTest, InterruptAndResumeMatchesUninterrupted) {
   CampaignSpec Spec = tinySpec();
 
-  CampaignOptions Interrupted;
-  Interrupted.StateDir = freshStateDir("resume");
-  Interrupted.Quiet = true;
+  CampaignOptions Interrupted = sourceOptions(GetParam(), "resume");
   Interrupted.MaxCells = 3;
   CampaignProgress First = runCampaignCells(Spec, Interrupted);
   EXPECT_FALSE(First.Complete);
   EXPECT_EQ(First.NewlyRun, 3u);
+  EXPECT_EQ(ledgerLines(Interrupted.ledgerPath()).size(), 3u);
   CampaignResult ShouldFail;
-  EXPECT_FALSE(aggregateCampaign(Spec, Interrupted, ShouldFail));
+  EXPECT_FALSE(aggregateState(Spec, Interrupted, ShouldFail));
 
   // Resume with a different thread count (and no cap): only the missing
   // cells run, and the aggregate matches an uninterrupted campaign.
@@ -174,13 +234,28 @@ TEST(CampaignTest, InterruptAndResumeMatchesUninterrupted) {
   EXPECT_EQ(Second.AlreadyDone, 3u);
   EXPECT_EQ(Second.NewlyRun, First.TotalCells - 3u);
   CampaignResult Result;
-  ASSERT_TRUE(aggregateCampaign(Spec, Resumed, Result));
+  ASSERT_TRUE(aggregateState(Spec, Resumed, Result));
 
   CampaignOptions Uninterrupted;
   Uninterrupted.StateDir = freshStateDir("uninterrupted");
   EXPECT_EQ(campaignJson(Spec, Result), runToJson(Spec, Uninterrupted));
   std::filesystem::remove_all(Interrupted.StateDir);
   std::filesystem::remove_all(Uninterrupted.StateDir);
+}
+
+TEST_P(CampaignSourceTest, MaxCellsStartsExactlyThatManyCells) {
+  // With four workers plus the caller, cells run five at a time; the cap
+  // must still start exactly K of them (none may overshoot in flight),
+  // and they land in the ledger the options name.
+  CampaignSpec Spec = tinySpec();
+  CampaignOptions Options = sourceOptions(GetParam(), "maxcells");
+  Options.Threads = 4;
+  Options.MaxCells = 2;
+  CampaignProgress Progress = runCampaignCells(Spec, Options);
+  EXPECT_FALSE(Progress.Complete);
+  EXPECT_EQ(Progress.NewlyRun, 2u);
+  EXPECT_EQ(ledgerLines(Options.ledgerPath()).size(), 2u);
+  std::filesystem::remove_all(Options.StateDir);
 }
 
 TEST(CampaignTest, ResumeSkipsCompletedCellsAndSurvivesPartialLine) {
@@ -253,14 +328,14 @@ TEST(CampaignTest, NoiseOnlySpecNeedsNoRunCells) {
   std::filesystem::remove_all(Options.StateDir);
 }
 
-TEST(CampaignTest, EnospcQuarantinesOneCellAndResumeIsByteIdentical) {
+TEST_P(CampaignSourceTest, EnospcQuarantinesOneCellAndResumeIsByteIdentical) {
   // A disk-full window spanning every retry of one append: the campaign
   // must quarantine that cell, finish the rest, and a re-launch must
   // retry exactly the quarantined cell and aggregate byte-identically.
+  // Under the lease source the failed cell sits in a claimed range: the
+  // worker must quarantine just it, finish the rest, and not retry it.
   CampaignSpec Spec = tinySpec();
-  CampaignOptions Options;
-  Options.StateDir = freshStateDir("quarantine");
-  Options.Quiet = true;
+  CampaignOptions Options = sourceOptions(GetParam(), "quarantine");
 
   FailSpec Fault;
   Fault.Errno = ENOSPC;
@@ -275,7 +350,7 @@ TEST(CampaignTest, EnospcQuarantinesOneCellAndResumeIsByteIdentical) {
   EXPECT_EQ(Progress.NewlyRun, Progress.TotalCells - 1);
   // The quarantined key is simply absent from the ledger...
   CampaignResult ShouldFail;
-  EXPECT_FALSE(aggregateCampaign(Spec, Options, ShouldFail));
+  EXPECT_FALSE(aggregateState(Spec, Options, ShouldFail));
 
   // ...so the re-launch runs exactly it and nothing else.
   CampaignProgress Resumed = runCampaignCells(Spec, Options);
@@ -283,7 +358,7 @@ TEST(CampaignTest, EnospcQuarantinesOneCellAndResumeIsByteIdentical) {
   EXPECT_EQ(Resumed.NewlyRun, 1u);
   EXPECT_EQ(Resumed.AlreadyDone, Progress.TotalCells - 1);
   CampaignResult Result;
-  ASSERT_TRUE(aggregateCampaign(Spec, Options, Result));
+  ASSERT_TRUE(aggregateState(Spec, Options, Result));
 
   CampaignOptions Clean;
   Clean.StateDir = freshStateDir("quarantine_clean");
@@ -329,13 +404,11 @@ TEST(CampaignTest, TornQuarantineRemnantIsSealedNotGluedToNextCell) {
   std::filesystem::remove_all(Clean.StateDir);
 }
 
-TEST(CampaignTest, TotalLedgerFailureQuarantinesEverythingRecordsNothing) {
+TEST_P(CampaignSourceTest, TotalLedgerFailureQuarantinesEverythingRecordsNothing) {
   // A permanently failing ledger (every append fails from the start) must
   // degrade to "all missing cells quarantined", never abort the process.
   CampaignSpec Spec = tinySpec();
-  CampaignOptions Options;
-  Options.StateDir = freshStateDir("allfail");
-  Options.Quiet = true;
+  CampaignOptions Options = sourceOptions(GetParam(), "allfail");
 
   FailSpec Fault;
   Fault.Errno = ENOSPC;
@@ -353,6 +426,11 @@ TEST(CampaignTest, TotalLedgerFailureQuarantinesEverythingRecordsNothing) {
   EXPECT_EQ(Resumed.NewlyRun, Progress.TotalCells);
   std::filesystem::remove_all(Options.StateDir);
 }
+
+INSTANTIATE_TEST_SUITE_P(RangeSources, CampaignSourceTest,
+                         ::testing::Values(Source::Unsharded, Source::Static,
+                                           Source::Lease),
+                         sourceName);
 
 TEST(CampaignTest, DatasetCacheReturnsBitIdenticalDatasets) {
   auto B = createSpaptBenchmark("mvt");
@@ -520,27 +598,6 @@ TEST(CampaignTest, PolicySweepAggregatesSkipsAndStaysLegacyCleanByDefault) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-std::string readFileBytes(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(In),
-                     std::istreambuf_iterator<char>());
-}
-
-/// Complete lines (with their '\n') of a ledger file.
-std::vector<std::string> ledgerLines(const std::string &Path) {
-  std::vector<std::string> Lines;
-  std::string Bytes = readFileBytes(Path);
-  size_t Pos = 0;
-  while (Pos < Bytes.size()) {
-    size_t Nl = Bytes.find('\n', Pos);
-    if (Nl == std::string::npos)
-      break;
-    Lines.push_back(Bytes.substr(Pos, Nl - Pos + 1));
-    Pos = Nl + 1;
-  }
-  return Lines;
-}
 
 void writeShard(const std::string &Path, const std::vector<std::string> &Lines,
                 const std::string &Tail = "") {

@@ -53,10 +53,8 @@ WALLCLOCK_TOKENS = (
     "updates_per_second",
     "items_per_second",
     "bytes_per_second",
-    # bench_scheduler: ratios/rates of tens-of-ms wall clocks — far too
-    # noisy for shared CI runners even as a ratio (the baseline is also
-    # hardware-dependent: ~0.93 on a 1-core box, >1 on real multicore).
-    "tail_speedup",
+    # bench_scheduler: rates of tens-of-ms wall clocks — far too noisy
+    # for shared CI runners (and hardware-dependent).
     "fanout_rate",
     # bench_dynatree_hotpath: wall-clock scoring rates and their dedup
     # ratios; the file itself is still presence-gated (a committed

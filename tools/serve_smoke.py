@@ -23,7 +23,11 @@ semantics (docs/SERVE_PROTOCOL.md):
 4. *oversized request* — a request over --max-request-bytes gets one
    error reply and a disconnect, and the daemon stays up;
 5. *SIGTERM drain* — with a lazy --checkpoint-every cadence, SIGTERM
-   exits 0 and snapshots every session, so no observation is lost.
+   exits 0 and snapshots every session, so no observation is lost;
+6. *cold-start SIGTERM* — a SIGTERM sent the moment the daemon prints
+   READY, with no client ever connecting, exits 0 within 3 s, many
+   times over (a signal landing just before the event loop's wait must
+   not be lost).
 
 stdlib-only by design: CI runs it with a bare python3.
 
@@ -207,6 +211,41 @@ def probe_sigterm_drain(binary, workdir):
           "(2 unsnapshotted observes survived)")
 
 
+COLD_SIGTERM_ROUNDS = 120
+COLD_SIGTERM_TIMEOUT_S = 3
+
+
+def probe_cold_sigterm(binary, workdir):
+    """SIGTERM right after READY, no clients: every drain exits 0 fast."""
+    sock = os.path.join(workdir, "cold.sock")
+    env = dict(os.environ, ALIC_SCALE="smoke")
+    for attempt in range(COLD_SIGTERM_ROUNDS):
+        state = os.path.join(workdir, f"cold{attempt}")
+        proc = subprocess.Popen(
+            [binary, f"--socket={sock}", f"--state-dir={state}",
+             "--threads=2"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+            text=True)
+        ready = proc.stdout.readline()
+        if not ready.startswith("READY"):
+            proc.kill()
+            proc.wait()
+            fail(f"cold SIGTERM {attempt}: no READY (got {ready!r})")
+        proc.send_signal(signal.SIGTERM)
+        try:
+            code = proc.wait(timeout=COLD_SIGTERM_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            fail(f"cold SIGTERM {attempt}: daemon still running "
+                 f"{COLD_SIGTERM_TIMEOUT_S} s after SIGTERM (lost wakeup)")
+        proc.stdout.close()
+        if code != 0:
+            fail(f"cold SIGTERM {attempt}: exit code {code}, want 0")
+    print(f"serve_smoke: cold-start SIGTERM probe OK "
+          f"({COLD_SIGTERM_ROUNDS} drains, each exited 0)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--binary", required=True,
@@ -261,6 +300,7 @@ def main():
     probe_idle_timeout(binary, args.workdir)
     probe_oversized_request(binary, args.workdir)
     probe_sigterm_drain(binary, args.workdir)
+    probe_cold_sigterm(binary, args.workdir)
 
     shutil.rmtree(args.workdir, ignore_errors=True)
     sys.exit(0)
