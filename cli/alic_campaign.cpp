@@ -22,6 +22,8 @@
 #include "spapt/Suite.h"
 #include "support/Backoff.h"
 #include "support/Env.h"
+#include "support/Format.h"
+#include "support/Serialize.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -118,12 +120,8 @@ bool parseFlag(const char *Arg, const char *Name, std::string &Value) {
 
 uint64_t parseCount(const char *Binary, const std::string &Text,
                     const char *What) {
-  // strtoull silently wraps negatives ("-1" -> ~4 billion); reject them.
-  if (Text.empty() || Text.find_first_not_of("0123456789") != std::string::npos)
-    usage(Binary, What);
-  char *End = nullptr;
-  unsigned long long Value = std::strtoull(Text.c_str(), &End, 10);
-  if (End == Text.c_str() || *End != '\0')
+  uint64_t Value = 0;
+  if (!parseDecimal(Text, UINT64_MAX, Value))
     usage(Binary, What);
   return Value;
 }
@@ -320,28 +318,20 @@ int main(int argc, char **argv) {
       if (splitList(Value).empty())
         usage(argv[0], "--models= given with no models");
       for (const std::string &Name : splitList(Value)) {
-        if (Name == "dynatree")
-          Spec.Models.push_back(ModelKind::DynaTree);
-        else if (Name == "gp")
-          Spec.Models.push_back(ModelKind::Gp);
-        else if (Name == "gp_sor")
-          Spec.Models.push_back(ModelKind::GpSor);
-        else
+        ModelKind Model;
+        if (!parseModelToken(Name, Model))
           usage(argv[0], ("unknown model: " + Name).c_str());
+        Spec.Models.push_back(Model);
       }
     } else if (parseFlag(argv[I], "--scorers", Value)) {
       Spec.Scorers.clear();
       if (splitList(Value).empty())
         usage(argv[0], "--scorers= given with no scorers");
       for (const std::string &Name : splitList(Value)) {
-        if (Name == "alc")
-          Spec.Scorers.push_back(ScorerKind::Alc);
-        else if (Name == "alm")
-          Spec.Scorers.push_back(ScorerKind::Alm);
-        else if (Name == "random")
-          Spec.Scorers.push_back(ScorerKind::Random);
-        else
+        ScorerKind Scorer;
+        if (!parseScorerToken(Name, Scorer))
           usage(argv[0], ("unknown scorer: " + Name).c_str());
+        Spec.Scorers.push_back(Scorer);
       }
     } else if (parseFlag(argv[I], "--batches", Value)) {
       Spec.BatchSizes.clear();
@@ -503,6 +493,11 @@ int main(int argc, char **argv) {
                 Progress.WorkersUsed,
                 (unsigned long long)Progress.TasksExecuted, Progress.NewlyRun,
                 (unsigned long long)Progress.Steals);
+  // A sharded rerun reads done-ness from every worker ledger (and a lease
+  // worker without --worker-id appends to a new cells.w<pid>.jsonl).
+  std::string ResumeFrom =
+      Options.sharded() ? "every cells*.jsonl under " + Options.StateDir
+                        : Options.ledgerPath();
   if (!Progress.QuarantinedCells.empty()) {
     std::fprintf(stderr,
                  "campaign: %zu cell(s) quarantined by ledger I/O "
@@ -513,13 +508,13 @@ int main(int argc, char **argv) {
     std::fprintf(stderr,
                  "re-run the same command to retry exactly these cells "
                  "against %s\n",
-                 Options.ledgerPath().c_str());
+                 ResumeFrom.c_str());
     return ExitQuarantined;
   }
   if (!Progress.Complete) {
     std::printf("campaign interrupted by --max-cells; re-run the same "
                 "command to resume from %s\n",
-                Options.ledgerPath().c_str());
+                ResumeFrom.c_str());
     return ExitIncomplete;
   }
   if (Options.sharded()) {
@@ -538,15 +533,10 @@ int main(int argc, char **argv) {
                  Options.ledgerPath().c_str());
     return 1;
   }
-  std::string Json = campaignJson(Spec, Result);
-  std::FILE *Out = std::fopen(OutPath.c_str(), "wb");
-  if (!Out || std::fwrite(Json.data(), 1, Json.size(), Out) != Json.size()) {
+  if (!writeTextFile(OutPath, campaignJson(Spec, Result))) {
     std::fprintf(stderr, "error: cannot write %s\n", OutPath.c_str());
-    if (Out)
-      std::fclose(Out);
     return 1;
   }
-  std::fclose(Out);
   std::printf("written: %s (geomean speedup %.2f over %zu combo(s))\n",
               OutPath.c_str(), Result.GeomeanSpeedup, Result.Combos.size());
   return 0;

@@ -12,8 +12,8 @@
 //   ALIC_SCALE=smoke alic_serve --socket=/tmp/alic.sock --state-dir=serve &
 //   # wait for the READY line, then exchange one JSON object per line
 //
-// Sessions checkpoint to --state-dir on every observation; on restart the
-// daemon replays every snapshot and resumes each session exactly where it
+// Sessions journal to --state-dir on every observation; on restart the
+// daemon replays every journal and resumes each session exactly where it
 // stood (SIGKILL-safe — serve_test and tools/serve_smoke.py pin this).
 //
 // The event loop is hardened against hostile and unlucky clients alike:
@@ -23,7 +23,7 @@
 // are answered with an error and dropped, and EMFILE-style accept
 // failures back off instead of spinning.  SIGTERM/SIGINT (and the
 // `shutdown` op) trigger a graceful drain: stop accepting, answer every
-// in-flight request, snapshot all sessions, exit 0.  The `serve.accept` /
+// in-flight request, checkpoint all sessions, exit 0.  The `serve.accept` /
 // `serve.recv` / `serve.send` failpoints (support/FailPoint.h) inject
 // faults into each syscall site for the chaos tests.
 //
@@ -65,12 +65,12 @@ namespace {
       "Suggest/observe tuning service over a Unix-domain socket.\n"
       "Scale comes from ALIC_SCALE (smoke|bench|paper; default bench).\n\n"
       "  --socket=PATH         socket to listen on (default: alic-serve.sock)\n"
-      "  --state-dir=DIR       session snapshot directory; empty disables\n"
+      "  --state-dir=DIR       session journal directory; empty disables\n"
       "                        checkpointing (default: alic-serve-state)\n"
       "  --threads=N|auto      scheduler workers shared by all sessions\n"
       "                        (auto = hardware concurrency; default 0 =\n"
       "                        inline, bit-identical either way)\n"
-      "  --checkpoint-every=K  snapshot every K-th observe (default 1)\n"
+      "  --checkpoint-every=K  checkpoint every K observes (default 1)\n"
       "  --idle-timeout-ms=T   disconnect clients idle for T ms\n"
       "                        (default 60000; 0 disables)\n"
       "  --max-request-bytes=N error+disconnect on a request line over N\n"
@@ -187,6 +187,10 @@ int main(int Argc, char **Argv) {
   const uint64_t IdleTimeoutMs = std::strtoull(IdleTimeout.c_str(), nullptr, 10);
   const size_t MaxRequestBytes =
       size_t(std::strtoull(MaxRequest.c_str(), nullptr, 10));
+  const std::string TooLongReply =
+      errorReply("request exceeds " + std::to_string(MaxRequestBytes) +
+                 " bytes") +
+      "\n";
   const size_t MaxSendBufferBytes =
       size_t(std::strtoull(MaxSendBuffer.c_str(), nullptr, 10));
   const uint64_t DrainTimeoutMs =
@@ -373,8 +377,7 @@ int main(int Argc, char **Argv) {
           if (Line.empty())
             continue;
           if (Line.size() > MaxRequestBytes) {
-            C.Out += "{\"ok\":false,\"error\":\"request exceeds " +
-                     std::to_string(MaxRequestBytes) + " bytes\"}\n";
+            C.Out += TooLongReply;
             C.CloseAfterFlush = true;
             break;
           }
@@ -388,8 +391,7 @@ int main(int Argc, char **Argv) {
         // A growing line with no newline is the same protocol violation,
         // caught before the buffer balloons.
         if (!Drop && !C.CloseAfterFlush && C.Pending.size() > MaxRequestBytes) {
-          C.Out += "{\"ok\":false,\"error\":\"request exceeds " +
-                   std::to_string(MaxRequestBytes) + " bytes\"}\n";
+          C.Out += TooLongReply;
           C.CloseAfterFlush = true;
         }
       }
@@ -455,12 +457,12 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Graceful exit: every session snapshot is brought current, whatever
+  // Graceful exit: every session journal is brought current, whatever
   // the checkpoint cadence, so a drained daemon never loses observations.
   size_t Sessions = Engine.sessionCount();
   size_t Clean = Engine.snapshotAll();
   if (Sessions)
-    std::fprintf(stderr, "alic_serve: drained; %zu/%zu session(s) snapshotted\n",
+    std::fprintf(stderr, "alic_serve: drained; %zu/%zu session(s) checkpointed\n",
                  Clean, Sessions);
 
   for (const Client &C : Clients)

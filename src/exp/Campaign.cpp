@@ -8,10 +8,10 @@
 #include "spapt/Suite.h"
 #include "stats/Metrics.h"
 #include "stats/OnlineStats.h"
-#include "support/Backoff.h"
 #include "support/Error.h"
 #include "support/FailPoint.h"
 #include "support/Format.h"
+#include "support/Journal.h"
 #include "support/Json.h"
 #include "support/Scheduler.h"
 #include "support/Serialize.h"
@@ -65,6 +65,36 @@ std::string alic::planToken(const SamplingPlan &Plan) {
   if (Plan.PlanKind == SamplingPlan::Kind::Fixed)
     return "fixed:" + std::to_string(Plan.FixedObservations);
   return "seq:" + std::to_string(Plan.MaxObservationsPerExample);
+}
+
+bool alic::parseModelToken(const std::string &Token, ModelKind &Out) {
+  for (ModelKind Kind : {ModelKind::DynaTree, ModelKind::Gp, ModelKind::GpSor})
+    if (Token == modelToken(Kind)) {
+      Out = Kind;
+      return true;
+    }
+  return false;
+}
+
+bool alic::parseScorerToken(const std::string &Token, ScorerKind &Out) {
+  for (ScorerKind Kind : {ScorerKind::Alc, ScorerKind::Alm, ScorerKind::Random})
+    if (Token == scorerToken(Kind)) {
+      Out = Kind;
+      return true;
+    }
+  return false;
+}
+
+bool alic::parsePlanToken(const std::string &Token, SamplingPlan &Out) {
+  size_t Colon = Token.find(':');
+  std::string Kind = Token.substr(0, Colon);
+  uint64_t Count = 0;
+  if ((Kind != "seq" && Kind != "fixed") || Colon == std::string::npos ||
+      !parseDecimal(Token.substr(Colon + 1), UINT32_MAX, Count))
+    return false;
+  Out = Kind == "seq" ? SamplingPlan::sequential(unsigned(Count))
+                      : SamplingPlan::fixed(unsigned(Count));
+  return true;
 }
 
 std::vector<SamplingPlan> alic::defaultCampaignPlans(const ExperimentScale &S) {
@@ -274,34 +304,22 @@ bool parseCellLine(const std::string &Line, std::string &Key,
   return true;
 }
 
-/// Reads the ledger, skipping unparsable lines (a crash can leave one
-/// partial trailing line; its cell simply reruns on resume).
+/// Reads the ledgers at \p Paths, skipping unparsable lines (a crash can
+/// leave one torn trailing record; its cell simply reruns on resume).
+/// Cells are deterministic, so a key read twice — a retried append, or
+/// two workers' ledgers — maps to interchangeable results.
 std::unordered_map<std::string, CellResult>
-loadLedger(const std::string &Path) {
+loadLedger(const std::vector<std::string> &Paths) {
   std::unordered_map<std::string, CellResult> Ledger;
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return Ledger;
-  std::string Content;
-  char Chunk[1 << 16];
-  size_t Got;
-  while ((Got = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
-    Content.append(Chunk, Got);
-  std::fclose(File);
-
-  size_t Pos = 0;
-  while (Pos < Content.size()) {
-    size_t Eol = Content.find('\n', Pos);
-    if (Eol == std::string::npos)
-      break; // partial trailing line: the crash remnant resume re-runs
-    std::string Line = Content.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    if (Line.empty())
-      continue;
-    std::string Key;
-    CellResult Result;
-    if (parseCellLine(Line, Key, Result))
-      Ledger[Key] = std::move(Result); // later lines win (idempotent rewrites)
+  std::vector<std::string> Lines;
+  for (const std::string &Path : Paths) {
+    (void)readJournal(Path, Lines); // a missing ledger is an empty one
+    for (const std::string &Line : Lines) {
+      std::string Key;
+      CellResult Result;
+      if (parseCellLine(Line, Key, Result))
+        Ledger[Key] = std::move(Result);
+    }
   }
   return Ledger;
 }
@@ -376,74 +394,6 @@ void forEachIndex(Scheduler *Pool, size_t N,
 }
 
 //===----------------------------------------------------------------------===//
-// Durable ledger appends (degrade, never abort)
-//===----------------------------------------------------------------------===//
-
-/// Append attempts per cell before quarantining it.  Retries follow the
-/// shared jittered-exponential schedule (support/Backoff): a 1 ms
-/// envelope doubling to 4 ms — the old 1/2/4 ms ladder's envelope — long
-/// enough to ride out a transient EINTR/EIO blip, short enough that a
-/// truly full disk quarantines a 275-cell campaign in about a second.
-constexpr int LedgerAppendAttempts = 4;
-
-/// Seed of the ledger-retry Backoff stream (any fixed value works; the
-/// schedule never affects results, only sleep lengths).
-constexpr uint64_t LedgerBackoffSeed = 0x1ed6e4ull;
-
-/// One append attempt: write \p Line, flush, fsync.  \p Seal prefixes a
-/// newline — a previous attempt may have torn mid-line, and gluing this
-/// record onto the remnant would lose both; the sealed remnant parses as
-/// garbage and is skipped on resume.  Fault-injection sites:
-/// `ledger.append` (error / torn / crash before the write) and
-/// `ledger.sync` (error / crash at the fsync — data flushed, durability
-/// unknown, exactly the window a power loss hits).
-Status tryAppendLine(std::FILE *Out, const std::string &Path,
-                     const std::string &Line, bool Seal) {
-  std::clearerr(Out);
-  FailOutcome F = ALIC_FAILPOINT("ledger.append");
-  if (F.Fire) {
-    if (F.Mode == FailMode::Torn && F.TornBytes > 0) {
-      std::fwrite(Line.data(), 1, std::min(F.TornBytes, Line.size()), Out);
-      std::fflush(Out);
-    }
-    return Status::failure("append to " + Path + " (injected)", F.Errno);
-  }
-  if (Seal && std::fputc('\n', Out) == EOF)
-    return Status::failure("append to " + Path, errno);
-  if (std::fwrite(Line.data(), 1, Line.size(), Out) != Line.size() ||
-      std::fflush(Out) != 0)
-    return Status::failure("append to " + Path, errno);
-  FailOutcome FS = ALIC_FAILPOINT("ledger.sync");
-  if (FS.Fire)
-    return Status::failure("fsync " + Path + " (injected)", FS.Errno);
-  if (fsync(fileno(Out)) != 0)
-    return Status::failure("fsync " + Path, errno);
-  return Status::success();
-}
-
-/// \p NeedSeal carries torn-remnant state *across cells*: it enters true
-/// when any earlier append of this run failed (its bytes may sit
-/// mid-line), forces a seal on the first attempt too, and leaves true
-/// when this append is given up on.
-Status appendLineWithRetry(std::FILE *Out, const std::string &Path,
-                           const std::string &Line, bool &NeedSeal) {
-  Status St;
-  Backoff Retry(LedgerBackoffSeed, /*BaseMs=*/1, /*CapMs=*/4);
-  for (int Attempt = 0; Attempt != LedgerAppendAttempts; ++Attempt) {
-    if (Attempt)
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(Retry.delayMs(uint64_t(Attempt - 1))));
-    St = tryAppendLine(Out, Path, Line, /*Seal=*/NeedSeal || Attempt != 0);
-    if (St.ok()) {
-      NeedSeal = false;
-      return St;
-    }
-  }
-  NeedSeal = true;
-  return St;
-}
-
-//===----------------------------------------------------------------------===//
 // Shared orchestration pieces (single- and multi-process modes)
 //===----------------------------------------------------------------------===//
 
@@ -464,20 +414,6 @@ std::vector<std::string> shardLedgerPaths(const std::string &StateDir) {
   return Paths;
 }
 
-/// The union of every worker ledger: what is done *anywhere*.  Cells are
-/// deterministic, so when two ledgers hold the same key the entries are
-/// interchangeable and first-in wins.
-std::unordered_map<std::string, CellResult>
-loadLedgerUnion(const std::string &StateDir) {
-  std::unordered_map<std::string, CellResult> Union;
-  for (const std::string &Path : shardLedgerPaths(StateDir)) {
-    std::unordered_map<std::string, CellResult> One = loadLedger(Path);
-    for (auto &Entry : One)
-      Union.emplace(Entry.first, std::move(Entry.second));
-  }
-  return Union;
-}
-
 /// Creates Options.StateDir, fsyncing its parent on first creation so
 /// the new directory entry itself survives a crash (the
 /// writeFileDurable discipline, applied to the campaign's root).
@@ -490,30 +426,6 @@ Status prepareStateDir(const CampaignOptions &Options) {
   if (Created)
     (void)syncParentDir(Options.StateDir); // best-effort (EINVAL-tolerant)
   return Status::success();
-}
-
-/// Opens the ledger for appending.  On first create the state dir is
-/// fsync'd (a synced append is worthless if the file's directory entry
-/// vanishes with a power loss), and a torn trailing line a crash left is
-/// sealed into its own skippable line so the next append cannot glue
-/// onto the remnant.
-std::FILE *openLedgerAppend(const std::string &Path) {
-  bool Existed = std::filesystem::exists(Path);
-  std::FILE *Out = std::fopen(Path.c_str(), "ab");
-  if (!Out)
-    return nullptr;
-  if (!Existed)
-    (void)syncParentDir(Path); // best-effort
-  std::FILE *In = std::fopen(Path.c_str(), "rb");
-  if (In) {
-    char LastByte = '\n';
-    bool NonEmpty = std::fseek(In, -1, SEEK_END) == 0 &&
-                    std::fread(&LastByte, 1, 1, In) == 1;
-    std::fclose(In);
-    if (NonEmpty && LastByte != '\n')
-      std::fputc('\n', Out);
-  }
-  return Out;
 }
 
 /// Memoizes datasets for any of \p Benchmarks not yet in \p Datasets
@@ -656,21 +568,10 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
   // Settled[I]: cell I needs nothing more from this invocation — it is in
   // the ledger(s), or this invocation quarantined it.
   std::vector<char> Settled(Unique.size(), 0);
-  // Quarantines every unsettled cell this invocation owns: nothing was
-  // lost (the cells are simply not in the ledger), a re-launch retries
-  // exactly them.
-  auto QuarantineUnsettled = [&] {
-    for (const ShardRange &Range : Src.Ranges)
-      for (size_t I = Range.Begin; I != Range.End; ++I)
-        if (!Settled[I]) {
-          Settled[I] = 1;
-          Progress.QuarantinedCells.push_back(Keys[I]);
-        }
-  };
   auto Refresh = [&] {
     std::unordered_map<std::string, CellResult> Done =
-        Src.FromUnion ? loadLedgerUnion(Options.StateDir)
-                      : loadLedger(LedgerPath);
+        loadLedger(Src.FromUnion ? shardLedgerPaths(Options.StateDir)
+                                 : std::vector<std::string>{LedgerPath});
     for (size_t I = 0; I != Keys.size(); ++I)
       if (Done.count(Keys[I]))
         Settled[I] = 1;
@@ -679,30 +580,41 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
   Status Prepared = prepareStateDir(Options);
   if (Prepared.ok() && Src.Leases)
     Prepared = Src.Leases->init();
+  if (Prepared.ok()) {
+    Refresh();
+    for (const ShardRange &Range : Src.Ranges)
+      for (size_t I = Range.Begin; I != Range.End; ++I)
+        Progress.AlreadyDone += Settled[I];
+    // With work to do, an empty append creates the ledger and seals any
+    // crash remnant, so a ledger that cannot be written fails here,
+    // before a cell is computed.  A rerun on a complete ledger writes
+    // nothing.
+    if (Progress.AlreadyDone != Progress.ShardCells)
+      Prepared = appendJournal(LedgerPath, "", "ledger.append", "ledger.sync");
+  }
   if (!Prepared.ok()) {
+    // Nothing was lost (the cells are simply not in the ledger): a
+    // re-launch retries exactly the quarantined cells.
     std::fprintf(stderr, "%s: %s — quarantining all missing cells\n", Tag,
                  Prepared.message().c_str());
-    QuarantineUnsettled();
+    for (const ShardRange &Range : Src.Ranges)
+      for (size_t I = Range.Begin; I != Range.End; ++I)
+        if (!Settled[I])
+          Progress.QuarantinedCells.push_back(Keys[I]);
     std::sort(Progress.QuarantinedCells.begin(),
               Progress.QuarantinedCells.end());
     return Progress;
   }
-  Refresh();
-  for (const ShardRange &Range : Src.Ranges)
-    for (size_t I = Range.Begin; I != Range.End; ++I)
-      Progress.AlreadyDone += Settled[I];
 
   // Built for the first range with work, so a rerun on a complete ledger
-  // starts no scheduler, loads no dataset, and opens no ledger.
+  // starts no scheduler and loads no dataset.
   std::unique_ptr<Scheduler> Pool;
   std::unordered_map<std::string, Dataset> Datasets;
-  std::FILE *Out = nullptr;
 
   std::mutex WriteMutex;
   size_t Completed = 0, Appended = 0;
   size_t Budget = Options.MaxCells ? Options.MaxCells : SIZE_MAX;
-  bool NeedSeal = false; // a failed append may have left a torn remnant
-  bool Stopped = false;  // budget spent, or the ledger cannot be opened
+  bool Stopped = false; // the --max-cells budget is spent
   while (!Stopped) {
     bool Ran = false, Waiting = false;
     for (size_t Off = 0; Off != Src.Ranges.size() && !Ran && !Stopped;
@@ -725,15 +637,6 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
               ShardLease::Claim::Acquired) {
         Waiting = true; // live owner, or we lost a claim/steal race
         continue;
-      }
-      if (!Out && !(Out = openLedgerAppend(LedgerPath))) {
-        std::fprintf(stderr,
-                     "%s: cannot open ledger %s for append: %s — "
-                     "quarantining all missing cells\n",
-                     Tag, LedgerPath.c_str(), std::strerror(errno));
-        QuarantineUnsettled();
-        Stopped = true;
-        break;
       }
       Ran = true;
       if (Src.Leases && !Options.Quiet)
@@ -775,12 +678,13 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
         std::string Line = cellLine(Keys[I], Cell.CellKind, Result);
 
         std::lock_guard<std::mutex> Lock(WriteMutex);
-        // One flushed + synced write per cell: a crash loses at most the
+        // One synced journal record per cell: a crash loses at most the
         // in-flight line, which the parser skips on resume.  An append
-        // that still fails after the bounded retries quarantines this
+        // that still fails after the journal's retries quarantines this
         // cell — the rest of the campaign keeps running, and a re-launch
         // retries exactly the quarantined keys.
-        Status St = appendLineWithRetry(Out, LedgerPath, Line, NeedSeal);
+        Status St =
+            appendJournal(LedgerPath, Line, "ledger.append", "ledger.sync");
         Settled[I] = 1;
         ++Completed;
         if (St.ok()) {
@@ -813,9 +717,6 @@ CampaignProgress alic::runCampaignCells(const CampaignSpec &Spec,
     if (Src.Leases)
       Refresh();
   }
-  if (Out)
-    std::fclose(Out);
-
   if (Pool) {
     SchedulerStats Stats = Pool->stats();
     Progress.TasksExecuted = Stats.Executed;
@@ -834,7 +735,7 @@ bool alic::aggregateCampaign(const CampaignSpec &Spec,
                              CampaignResult &Out) {
   Out = CampaignResult();
   std::unordered_map<std::string, CellResult> Ledger =
-      loadLedger(Options.ledgerPath());
+      loadLedger({Options.ledgerPath()});
   for (const CampaignCell &Cell : expandCells(Spec))
     if (!Ledger.count(Cell.key(Spec)))
       return false;
@@ -940,30 +841,13 @@ Status alic::mergeLedgers(const CampaignSpec &Spec,
     if (F.Fire)
       return Status::failure("read shard ledger " + Path + " (injected)",
                              F.Errno);
-    std::FILE *File = std::fopen(Path.c_str(), "rb");
-    if (!File)
-      return Status::failure("open shard ledger " + Path, errno);
-    std::string Content;
-    char Chunk[1 << 16];
-    size_t Got;
-    while ((Got = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
-      Content.append(Chunk, Got);
-    bool ReadOk = std::ferror(File) == 0;
-    std::fclose(File);
-    if (!ReadOk)
-      return Status::failure("read shard ledger " + Path, EIO);
-
-    size_t Pos = 0;
-    while (Pos < Content.size()) {
-      size_t Eol = Content.find('\n', Pos);
-      if (Eol == std::string::npos) {
-        ++Report.TornTails; // unterminated tail: seal (drop) it
-        break;
-      }
-      std::string Line = Content.substr(Pos, Eol - Pos);
-      Pos = Eol + 1;
-      if (Line.empty())
-        continue;
+    std::vector<std::string> Lines;
+    bool TornTail = false;
+    Status Read = readJournal(Path, Lines, &TornTail);
+    if (!Read.ok())
+      return Status::failure("read shard ledger " + Path, Read.errnoValue());
+    Report.TornTails += TornTail; // an unterminated tail: sealed (dropped)
+    for (const std::string &Line : Lines) {
       std::string Key;
       CellResult Parsed;
       if (!parseCellLine(Line, Key, Parsed)) {

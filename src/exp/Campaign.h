@@ -275,7 +275,7 @@ std::vector<CampaignCell> expandCells(const CampaignSpec &Spec);
 
 /// Runs every spec cell missing from the ledger, sharding across
 /// Options.Threads workers; each completed cell is appended to the ledger
-/// crash-safely (single flushed+synced write).  Honors MaxCells.
+/// as one synced journal record (support/Journal.h).  Honors MaxCells.
 ///
 /// One executor serves every mode; only its *range source* differs.
 /// Unsharded, all cells form one range, done-checked against the
@@ -286,14 +286,14 @@ std::vector<CampaignCell> expandCells(const CampaignSpec &Spec);
 /// each one, returning once *every* spec cell is in it.  Sharded workers
 /// append to their per-worker ledger and mergeLedgers() folds the shards
 /// back into the canonical one.  A rerun with nothing missing starts no
-/// scheduler, loads no dataset, and opens no ledger for append.
+/// scheduler, loads no dataset, and writes nothing.
 ///
-/// Ledger I/O failures *degrade* instead of aborting: a failed append is
-/// retried with bounded exponential backoff (fault-injection sites
-/// `ledger.append` / `ledger.sync`), and a cell whose append still fails
-/// is quarantined (Progress.QuarantinedCells) while the rest of the
-/// campaign completes.  A state dir or ledger that cannot be opened at
-/// all quarantines every missing cell without computing any.
+/// Ledger I/O failures *degrade* instead of aborting: the journal
+/// retries a failed append (fault-injection sites `ledger.append` /
+/// `ledger.sync`), and a cell whose append still fails is quarantined
+/// (Progress.QuarantinedCells) while the rest of the campaign completes.
+/// A state dir or ledger that cannot be written at all quarantines every
+/// missing cell without computing any.
 CampaignProgress runCampaignCells(const CampaignSpec &Spec,
                                   const CampaignOptions &Options);
 
@@ -353,10 +353,19 @@ bool runCampaign(const CampaignSpec &Spec, const CampaignOptions &Options,
 std::string campaignJson(const CampaignSpec &Spec,
                          const CampaignResult &Result);
 
-/// Canonical lower-case tokens used in cell keys and JSON.
+/// Canonical lower-case tokens used in cell keys, JSON, the serve wire
+/// and serve session journals.
 const char *modelToken(ModelKind Kind);
 const char *scorerToken(ScorerKind Kind);
+/// `seq:<cap>` or `fixed:<observations>`: the plan kind and the one count
+/// that kind uses.
 std::string planToken(const SamplingPlan &Plan);
+
+/// Inverses of the token functions above.  Each returns false, leaving
+/// \p Out untouched, on anything but a token its counterpart produces.
+bool parseModelToken(const std::string &Token, ModelKind &Out);
+bool parseScorerToken(const std::string &Token, ScorerKind &Out);
+bool parsePlanToken(const std::string &Token, SamplingPlan &Out);
 
 /// The default plan list at scale \p S — the three Figure 6 sampling
 /// plans with the scale's sequential cap.  The alic_campaign CLI and the

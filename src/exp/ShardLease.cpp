@@ -206,16 +206,7 @@ ShardLease::Claim ShardLease::tryClaim(size_t RangeIndex,
   // Stamp ownership and make the claim durable: token + file fsync +
   // directory fsync, the writeFileDurable discipline.
   std::string Token = Opts.OwnerToken + "\n";
-  size_t Done = 0;
-  while (Done < Token.size()) {
-    ssize_t N = ::write(Fd, Token.data() + Done, Token.size() - Done);
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0)
-      break;
-    Done += size_t(N);
-  }
-  if (Done != Token.size() || ::fsync(Fd) != 0) {
+  if (!writeAndSync(Fd, Token.data(), Token.size(), Path).ok()) {
     ::unlink(Path.c_str());
     ::close(Fd);
     return Claim::Error;

@@ -2,110 +2,147 @@
 
 #include "serve/ServeEngine.h"
 
+#include "exp/Campaign.h"
 #include "spapt/Suite.h"
 #include "stats/Metrics.h"
 #include "support/Error.h"
 #include "support/FailPoint.h"
+#include "support/Format.h"
+#include "support/Journal.h"
+#include "support/Json.h"
 #include "support/Scheduler.h"
-#include "support/Serialize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <type_traits>
 
 using namespace alic;
 
 namespace {
 
-constexpr uint32_t SnapshotMagic = 0x414c5356; // "ALSV"
-// Version 2 added the query-policy fields; older snapshots are treated
-// as unreadable (skipped on restore), never misparsed.
-constexpr uint32_t SnapshotVersion = 2;
+/// Format version in a session journal's header record.  The binary
+/// snapshots of versions 1-2 do not parse as JSON, so restore skips them
+/// like any bad header and never misparses them.
+constexpr int JournalVersion = 3;
 
-void writeSpec(ByteWriter &W, const SessionSpec &Spec) {
-  W.writeString(Spec.Benchmark);
-  W.writeU8(uint8_t(Spec.Model));
-  W.writeU8(uint8_t(Spec.Scorer));
-  W.writeU8(uint8_t(Spec.Query.Kind));
-  W.writeDouble(Spec.Query.Mellowness);
-  W.writeDouble(Spec.Query.RangeC1);
-  W.writeDouble(Spec.Query.AbsFloor);
-  W.writeDouble(Spec.Query.RelFloor);
-  W.writeU8(uint8_t(Spec.Plan.PlanKind));
-  W.writeU32(Spec.Plan.FixedObservations);
-  W.writeU32(Spec.Plan.MaxObservationsPerExample);
-  W.writeU32(Spec.BatchSize);
-  W.writeU64(Spec.Seed);
-  W.writeU64(Spec.DatasetSeed);
-  const ExperimentScale &S = Spec.Scale;
-  W.writeU64(S.NumConfigs);
-  W.writeDouble(S.TrainFraction);
-  W.writeU32(S.MeanObservations);
-  W.writeU32(S.NumInitial);
-  W.writeU32(S.InitObservations);
-  W.writeU32(S.MaxTrainingExamples);
-  W.writeU32(S.CandidatesPerIteration);
-  W.writeU32(S.ReferenceSetSize);
-  W.writeU32(S.Particles);
-  W.writeU32(S.Repetitions);
-  W.writeU32(S.EvalEvery);
-  W.writeU64(S.TestSubset);
-  W.writeU32(S.ObservationCap);
+/// Calls \p Visit(name, field) for every numeric SessionSpec field the
+/// journal header carries, so its writer and reader cannot drift apart.
+/// Benchmark, model, scorer, plan and policy kind travel as tokens.
+template <typename SpecT, typename VisitorT>
+void visitNumericFields(SpecT &Spec, VisitorT &&Visit) {
+  Visit("mellowness", Spec.Query.Mellowness);
+  Visit("range_c1", Spec.Query.RangeC1);
+  Visit("abs_floor", Spec.Query.AbsFloor);
+  Visit("rel_floor", Spec.Query.RelFloor);
+  Visit("batch", Spec.BatchSize);
+  Visit("seed", Spec.Seed);
+  Visit("dataset_seed", Spec.DatasetSeed);
+  auto &S = Spec.Scale;
+  Visit("num_configs", S.NumConfigs);
+  Visit("train_fraction", S.TrainFraction);
+  Visit("mean_observations", S.MeanObservations);
+  Visit("num_initial", S.NumInitial);
+  Visit("init_observations", S.InitObservations);
+  Visit("max_examples", S.MaxTrainingExamples);
+  Visit("candidates", S.CandidatesPerIteration);
+  Visit("reference_set", S.ReferenceSetSize);
+  Visit("particles", S.Particles);
+  Visit("repetitions", S.Repetitions);
+  Visit("eval_every", S.EvalEvery);
+  Visit("test_subset", S.TestSubset);
+  Visit("observation_cap", S.ObservationCap);
 }
 
-bool readSpec(ByteReader &R, SessionSpec &Spec) {
-  uint8_t Model = 0, Scorer = 0, PolicyKind = 0, PlanKind = 0;
-  uint32_t FixedObs = 0, MaxObs = 0, Batch = 0;
-  R.readString(Spec.Benchmark);
-  R.readU8(Model);
-  R.readU8(Scorer);
-  R.readU8(PolicyKind);
-  R.readDouble(Spec.Query.Mellowness);
-  R.readDouble(Spec.Query.RangeC1);
-  R.readDouble(Spec.Query.AbsFloor);
-  R.readDouble(Spec.Query.RelFloor);
-  R.readU8(PlanKind);
-  R.readU32(FixedObs);
-  R.readU32(MaxObs);
-  R.readU32(Batch);
-  R.readU64(Spec.Seed);
-  R.readU64(Spec.DatasetSeed);
-  ExperimentScale &S = Spec.Scale;
-  uint64_t NumConfigs = 0, TestSubset = 0;
-  R.readU64(NumConfigs);
-  R.readDouble(S.TrainFraction);
-  R.readU32(S.MeanObservations);
-  R.readU32(S.NumInitial);
-  R.readU32(S.InitObservations);
-  R.readU32(S.MaxTrainingExamples);
-  R.readU32(S.CandidatesPerIteration);
-  R.readU32(S.ReferenceSetSize);
-  R.readU32(S.Particles);
-  R.readU32(S.Repetitions);
-  R.readU32(S.EvalEvery);
-  R.readU64(TestSubset);
-  R.readU32(S.ObservationCap);
-  if (!R.ok() || Model > 2 || Scorer > 2 || PolicyKind > 2 || PlanKind > 1)
+/// The journal's first record: the session id and its whole spec.
+/// Integers travel as decimal strings: a JSON number is a double, which
+/// rounds 64-bit values above 2^53.
+std::string headerRecord(const std::string &Id, const SessionSpec &Spec) {
+  std::string Record = formatString("{\"alsv\":%d", JournalVersion);
+  Record += ",\"id\":\"" + jsonEscape(Id) + "\"";
+  Record += ",\"benchmark\":\"" + jsonEscape(Spec.Benchmark) + "\"";
+  Record += std::string(",\"model\":\"") + modelToken(Spec.Model) + "\"";
+  Record += std::string(",\"scorer\":\"") + scorerToken(Spec.Scorer) + "\"";
+  Record += ",\"plan\":\"" + planToken(Spec.Plan) + "\"";
+  // The token names the policy kind; its rounded numbers are overwritten
+  // by the exact fields below on restore.
+  Record += ",\"policy\":\"" + queryPolicyToken(Spec.Query) + "\"";
+  visitNumericFields(Spec, [&](const char *Name, auto Value) {
+    Record += formatString(",\"%s\":", Name);
+    if constexpr (std::is_same_v<decltype(Value), double>)
+      Record += formatJsonDouble(Value);
+    else
+      Record += "\"" + std::to_string(Value) + "\"";
+  });
+  return Record + "}\n";
+}
+
+bool parseHeaderRecord(const std::string &Line, std::string &Id,
+                       SessionSpec &Spec) {
+  JsonValue Root;
+  double Version = 0.0;
+  std::string Model, Scorer, Plan, Policy;
+  if (!parseJson(Line.c_str(), Root) || Root.K != JsonValue::Kind::Object ||
+      !jsonNumberField(Root, "alsv", Version) || Version != JournalVersion ||
+      !jsonStringField(Root, "id", Id) ||
+      !jsonStringField(Root, "benchmark", Spec.Benchmark) ||
+      !jsonStringField(Root, "model", Model) ||
+      !parseModelToken(Model, Spec.Model) ||
+      !jsonStringField(Root, "scorer", Scorer) ||
+      !parseScorerToken(Scorer, Spec.Scorer) ||
+      !jsonStringField(Root, "plan", Plan) ||
+      !parsePlanToken(Plan, Spec.Plan) ||
+      !jsonStringField(Root, "policy", Policy) ||
+      !parseQueryPolicy(Policy, Spec.Query))
     return false;
-  Spec.Model = ModelKind(Model);
-  Spec.Scorer = ScorerKind(Scorer);
-  Spec.Query.Kind = QueryPolicyKind(PolicyKind);
-  Spec.Plan.PlanKind = SamplingPlan::Kind(PlanKind);
-  Spec.Plan.FixedObservations = FixedObs;
-  Spec.Plan.MaxObservationsPerExample = MaxObs;
-  Spec.BatchSize = Batch;
-  S.NumConfigs = size_t(NumConfigs);
-  S.TestSubset = size_t(TestSubset);
-  return true;
+  bool Ok = true;
+  visitNumericFields(Spec, [&](const char *Name, auto &Value) {
+    using T = std::remove_reference_t<decltype(Value)>;
+    std::string Digits;
+    uint64_t Parsed = 0;
+    if constexpr (std::is_same_v<T, double>) {
+      Ok = Ok && jsonNumberField(Root, Name, Value);
+    } else {
+      Ok = Ok && jsonStringField(Root, Name, Digits) &&
+           parseDecimal(Digits, std::numeric_limits<T>::max(), Parsed);
+      Value = T(Parsed);
+    }
+  });
+  return Ok;
 }
 
-/// Raw bits of a double, for cache keys (0.75 and 0.7500001 must not
-/// collide into one key through decimal formatting).
-uint64_t doubleBits(double Value) {
-  uint64_t Bits;
-  static_assert(sizeof(Bits) == sizeof(Value), "double is not 64-bit");
-  __builtin_memcpy(&Bits, &Value, sizeof(Bits));
-  return Bits;
+/// One observe's record: its 0-based index in the session and its costs.
+std::string eventRecord(size_t N, const std::vector<double> &Costs) {
+  std::string Record = formatString("{\"n\":%zu,\"costs\":[", N);
+  for (size_t I = 0; I != Costs.size(); ++I) {
+    if (I)
+      Record += ",";
+    Record += formatJsonDouble(Costs[I]);
+  }
+  return Record + "]}\n";
+}
+
+bool parseEventRecord(const std::string &Line, size_t &N,
+                      std::vector<double> &Costs) {
+  JsonValue Root;
+  double Index = -1.0;
+  if (!parseJson(Line.c_str(), Root) || Root.K != JsonValue::Kind::Object ||
+      !jsonNumberField(Root, "n", Index) || Index < 0.0 ||
+      Index > 0x1p53 || Index != std::floor(Index))
+    return false;
+  const JsonValue *Items = Root.field("costs");
+  if (!Items || Items->K != JsonValue::Kind::Array)
+    return false;
+  N = size_t(Index);
+  Costs.clear();
+  for (const JsonValue &Item : Items->Items) {
+    if (Item.K != JsonValue::Kind::Number)
+      return false;
+    Costs.push_back(Item.Number);
+  }
+  return true;
 }
 
 } // namespace
@@ -119,10 +156,11 @@ struct ServeEngine::Session {
   /// Append-only observation log; with Spec, the whole session state.
   std::vector<std::vector<double>> Events;
   double TotalCostSeconds = 0.0;
-  unsigned SinceSnapshot = 0;
-  /// The last snapshot attempt failed; SinceSnapshot is pinned at the
-  /// cadence so the next observe retries (degrade, never abort).
-  bool DirtySnapshot = false;
+  /// Records durably in the journal: the header, then one per event in
+  /// order.  0 means the journal must be started afresh from the header.
+  /// A failed append leaves it behind, so the next checkpoint retries
+  /// every pending record (degrade, never abort).
+  size_t Durable = 0;
   /// Set (under M) by closeSession.  An in-flight call that resolved the
   /// session just before it left the table sees this after locking M and
   /// reports the session as unknown instead of mutating a closed one.
@@ -157,16 +195,17 @@ bool ServeEngine::validId(const std::string &Id) const {
   return true;
 }
 
-std::string ServeEngine::snapshotPath(const std::string &Id) const {
+std::string ServeEngine::journalPath(const std::string &Id) const {
   return Opts.StateDir + "/sess-" + Id + ".alsv";
 }
 
 std::shared_ptr<const Dataset>
 ServeEngine::datasetFor(const SessionSpec &Spec) {
   // Keyed on everything buildDataset consumes; called under EngineMutex.
+  // The shortest round-trip rendering keeps distinct fractions distinct.
   const ExperimentScale &S = Spec.Scale;
   std::string Key = Spec.Benchmark + "|" + std::to_string(S.NumConfigs) +
-                    "|" + std::to_string(doubleBits(S.TrainFraction)) + "|" +
+                    "|" + formatJsonDouble(S.TrainFraction) + "|" +
                     std::to_string(S.MeanObservations) + "|" +
                     std::to_string(Spec.DatasetSeed);
   auto It = Datasets.find(Key);
@@ -206,44 +245,51 @@ ServeEngine::buildSession(const SessionSpec &Spec, std::string &Err) {
   return S;
 }
 
-void ServeEngine::snapshot(const std::string &Id, Session &S) {
-  if (Opts.StateDir.empty())
+size_t ServeEngine::pendingRecords(const Session &S) const {
+  return Opts.StateDir.empty() ? 0 : S.Events.size() + 1 - S.Durable;
+}
+
+void ServeEngine::checkpoint(const std::string &Id, Session &S) {
+  if (!pendingRecords(S))
     return;
-  ByteWriter W;
-  W.writeU32(SnapshotMagic);
-  W.writeU32(SnapshotVersion);
-  W.writeString(Id);
-  writeSpec(W, S.Spec);
-  W.writeU64(S.Events.size());
-  for (const std::vector<double> &Costs : S.Events)
-    W.writeDoubles(Costs);
-  Status St;
-  FailOutcome F = ALIC_FAILPOINT("snapshot.write");
-  if (F.Fire)
-    St = Status::failure("snapshot " + snapshotPath(Id) + " (injected)",
-                         F.Errno);
-  else
-    St = W.writeFileDurable(snapshotPath(Id));
+  std::string Records;
+  if (S.Durable == 0) {
+    // A fresh journal: whatever sits at the path (a torn header, a
+    // journal restore skipped or cut short) is replaced, never extended.
+    std::error_code Ec;
+    std::filesystem::remove(journalPath(Id), Ec);
+    Records = headerRecord(Id, S.Spec);
+  }
+  for (size_t N = S.Durable ? S.Durable - 1 : 0; N != S.Events.size(); ++N)
+    Records += eventRecord(N, S.Events[N]);
+  Status St = appendJournal(journalPath(Id), Records, "snapshot.write");
   if (!St.ok()) {
-    // Degrade: the session keeps serving from memory; pinning the counter
-    // at the cadence makes the very next observe (or snapshotAll) retry.
-    S.DirtySnapshot = true;
-    S.SinceSnapshot = Opts.CheckpointEveryObserves;
+    // Degrade: the session keeps serving from memory, and the records
+    // stay pending, so the next checkpoint (or snapshotAll) retries.
     std::fprintf(stderr,
-                 "alic_serve: snapshot of session '%s' failed: %s "
+                 "alic_serve: checkpoint of session '%s' failed: %s "
                  "(errno %d); serving from memory, will retry\n",
                  Id.c_str(), St.message().c_str(), St.errnoValue());
     return;
   }
-  S.DirtySnapshot = false;
-  S.SinceSnapshot = 0;
+  S.Durable = S.Events.size() + 1;
 }
 
-std::shared_ptr<ServeEngine::Session>
-ServeEngine::find(const std::string &Id) const {
-  std::lock_guard<std::mutex> Lock(EngineMutex);
-  auto It = Sessions.find(Id);
-  return It == Sessions.end() ? nullptr : It->second;
+bool ServeEngine::lockSession(const std::string &Id,
+                              std::shared_ptr<Session> &S,
+                              std::unique_lock<std::mutex> &Lock,
+                              std::string &Err) const {
+  {
+    std::lock_guard<std::mutex> TableLock(EngineMutex);
+    auto It = Sessions.find(Id);
+    S = It == Sessions.end() ? nullptr : It->second;
+  }
+  if (S)
+    Lock = std::unique_lock<std::mutex>(S->M);
+  if (S && !S->Closed)
+    return true;
+  Err = "unknown session '" + Id + "'";
+  return false;
 }
 
 bool ServeEngine::openSession(const std::string &Id, const SessionSpec &Spec,
@@ -260,23 +306,17 @@ bool ServeEngine::openSession(const std::string &Id, const SessionSpec &Spec,
   std::shared_ptr<Session> S = buildSession(Spec, Err);
   if (!S)
     return false;
-  snapshot(Id, *S);
+  checkpoint(Id, *S);
   Sessions.emplace(Id, std::move(S));
   return true;
 }
 
 bool ServeEngine::suggest(const std::string &Id, Suggestion &Out,
                           std::string &Err) {
-  std::shared_ptr<Session> S = find(Id);
-  if (!S) {
-    Err = "unknown session '" + Id + "'";
+  std::shared_ptr<Session> S;
+  std::unique_lock<std::mutex> Lock;
+  if (!lockSession(Id, S, Lock, Err))
     return false;
-  }
-  std::lock_guard<std::mutex> Lock(S->M);
-  if (S->Closed) {
-    Err = "unknown session '" + Id + "'";
-    return false;
-  }
   Out = S->Learner->suggest();
   return true;
 }
@@ -284,16 +324,10 @@ bool ServeEngine::suggest(const std::string &Id, Suggestion &Out,
 bool ServeEngine::observe(const std::string &Id, uint64_t Ticket,
                           const std::vector<double> &Costs,
                           std::string &Err) {
-  std::shared_ptr<Session> S = find(Id);
-  if (!S) {
-    Err = "unknown session '" + Id + "'";
+  std::shared_ptr<Session> S;
+  std::unique_lock<std::mutex> Lock;
+  if (!lockSession(Id, S, Lock, Err))
     return false;
-  }
-  std::lock_guard<std::mutex> Lock(S->M);
-  if (S->Closed) {
-    Err = "unknown session '" + Id + "'";
-    return false;
-  }
   if (!S->Learner->suggestionOutstanding()) {
     Err = "no suggestion outstanding (call suggest first)";
     return false;
@@ -310,6 +344,12 @@ bool ServeEngine::observe(const std::string &Id, uint64_t Ticket,
           std::to_string(Costs.size());
     return false;
   }
+  // The journal stores costs as JSON numbers, which have no NaN or inf.
+  for (double C : Costs)
+    if (!std::isfinite(C)) {
+      Err = "costs must be finite";
+      return false;
+    }
   if (!S->Learner->observe(Ticket, Costs)) {
     Err = "learner rejected the observation";
     return false;
@@ -317,23 +357,17 @@ bool ServeEngine::observe(const std::string &Id, uint64_t Ticket,
   S->Events.push_back(Costs);
   for (double C : Costs)
     S->TotalCostSeconds += C;
-  if (++S->SinceSnapshot >= Opts.CheckpointEveryObserves)
-    snapshot(Id, *S);
+  if (pendingRecords(*S) >= Opts.CheckpointEveryObserves)
+    checkpoint(Id, *S);
   return true;
 }
 
 bool ServeEngine::evaluate(const std::string &Id, double &Rmse,
                            std::string &Err) {
-  std::shared_ptr<Session> S = find(Id);
-  if (!S) {
-    Err = "unknown session '" + Id + "'";
+  std::shared_ptr<Session> S;
+  std::unique_lock<std::mutex> Lock;
+  if (!lockSession(Id, S, Lock, Err))
     return false;
-  }
-  std::lock_guard<std::mutex> Lock(S->M);
-  if (S->Closed) {
-    Err = "unknown session '" + Id + "'";
-    return false;
-  }
   if (!S->Learner->seeded()) {
     Err = "session has no model yet (still exploring)";
     return false;
@@ -355,21 +389,18 @@ bool ServeEngine::evaluate(const std::string &Id, double &Rmse,
 
 bool ServeEngine::sessionInfo(const std::string &Id, SessionInfo &Out,
                               std::string &Err) const {
-  std::shared_ptr<Session> S = find(Id);
-  if (!S) {
-    Err = "unknown session '" + Id + "'";
+  std::shared_ptr<Session> S;
+  std::unique_lock<std::mutex> Lock;
+  if (!lockSession(Id, S, Lock, Err))
     return false;
-  }
-  std::lock_guard<std::mutex> Lock(S->M);
-  if (S->Closed) {
-    Err = "unknown session '" + Id + "'";
-    return false;
-  }
   Out.Stats = S->Learner->stats();
   Out.TotalCostSeconds = S->TotalCostSeconds;
   Out.Observes = S->Events.size();
   Out.Done = S->Learner->done();
-  Out.SnapshotDirty = S->DirtySnapshot;
+  // Dirty: a checkpoint was due (or the header never landed) and failed.
+  size_t Pending = pendingRecords(*S);
+  Out.SnapshotDirty =
+      Pending >= Opts.CheckpointEveryObserves || (Pending && S->Durable == 0);
   if (Out.Done)
     Out.Phase = SuggestPhase::Done;
   else if (!S->Learner->seeded())
@@ -385,111 +416,90 @@ bool ServeEngine::sessionInfo(const std::string &Id, SessionInfo &Out,
 
 bool ServeEngine::closeSession(const std::string &Id) {
   std::shared_ptr<Session> Doomed;
-  {
-    std::lock_guard<std::mutex> Lock(EngineMutex);
-    auto It = Sessions.find(Id);
-    if (It == Sessions.end())
-      return false;
-    Doomed = std::move(It->second);
-    Sessions.erase(It);
-  }
-  // Any in-flight call that resolved the session just before it left the
-  // table either finishes before this lock (its snapshot, if any, lands
-  // before the remove below) or sees Closed and bails; the shared_ptr it
-  // holds keeps the Session alive either way.
-  {
-    std::lock_guard<std::mutex> Lock(Doomed->M);
-    Doomed->Closed = true;
-  }
+  std::unique_lock<std::mutex> Lock;
+  std::string Err;
+  if (!lockSession(Id, Doomed, Lock, Err))
+    return false;
+  // Any in-flight call on the session finished before this lock (its
+  // checkpoint landed before the remove below) or will see Closed and
+  // bail; the shared_ptr it holds keeps the Session alive either way.
+  Doomed->Closed = true;
   if (!Opts.StateDir.empty()) {
     std::error_code Ec;
-    std::filesystem::remove(snapshotPath(Id), Ec);
+    std::filesystem::remove(journalPath(Id), Ec);
   }
+  Lock.unlock();
+  // The id leaves the table only now, so an openSession reusing it
+  // cannot write its journal before the remove above.
+  std::lock_guard<std::mutex> TableLock(EngineMutex);
+  Sessions.erase(Id);
   return true;
 }
 
 size_t ServeEngine::restoreSessions(size_t *Skipped) {
   size_t Bad = 0, Restored = 0;
-  if (Skipped)
-    *Skipped = 0;
-  if (Opts.StateDir.empty())
-    return 0;
-  std::vector<std::string> Paths;
-  {
-    std::error_code Ec;
-    std::filesystem::directory_iterator Dir(Opts.StateDir, Ec);
-    if (!Ec)
-      for (const auto &Entry : Dir) {
-        std::string Name = Entry.path().filename().string();
-        if (Name.rfind("sess-", 0) == 0 && Name.size() > 10 &&
-            Name.substr(Name.size() - 5) == ".alsv")
-          Paths.push_back(Entry.path().string());
-      }
+  std::vector<std::string> Names;
+  std::error_code Ec; // an empty or missing StateDir lists nothing
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(Opts.StateDir, Ec)) {
+    std::string Name = Entry.path().filename().string();
+    if (Name.rfind("sess-", 0) == 0 && Name.size() > 10 &&
+        Name.substr(Name.size() - 5) == ".alsv")
+      Names.push_back(Name);
   }
   // Deterministic restore order (directory iteration order is not).
-  std::sort(Paths.begin(), Paths.end());
+  std::sort(Names.begin(), Names.end());
 
-  for (const std::string &Path : Paths) {
-    ByteReader R({});
-    uint32_t Magic = 0, Version = 0;
+  for (const std::string &Name : Names) {
+    std::vector<std::string> Records;
     std::string Id;
     SessionSpec Spec;
-    uint64_t NumEvents = 0;
-    if (ALIC_FAILPOINT("snapshot.restore").Fire)
-      goto corrupt; // injected unreadable snapshot
-    if (!ByteReader::fromFile(Path, R))
-      goto corrupt;
-    R.readU32(Magic);
-    R.readU32(Version);
-    R.readString(Id);
-    if (!R.ok() || Magic != SnapshotMagic || Version != SnapshotVersion ||
-        !validId(Id))
-      goto corrupt;
-    if (!readSpec(R, Spec))
-      goto corrupt;
-    R.readU64(NumEvents);
-    // Each event is at least a u64 length prefix.
-    if (!R.ok() || NumEvents > R.remaining() / 8)
-      goto corrupt;
-    {
-      std::vector<std::vector<double>> Events;
-      Events.resize(size_t(NumEvents));
-      for (std::vector<double> &Costs : Events)
-        if (!R.readDoubles(Costs))
-          goto corrupt;
-      if (!R.atEnd())
-        goto corrupt;
-
-      std::lock_guard<std::mutex> Lock(EngineMutex);
-      if (Sessions.count(Id))
-        goto corrupt; // duplicate snapshot for one id
-      std::string Err;
-      std::shared_ptr<Session> S = buildSession(Spec, Err);
-      if (!S)
-        goto corrupt;
-      // Replay: state is a pure function of (spec, cost sequence), so
-      // driving the recorded costs through the deterministic loop lands
-      // exactly where the previous process stood.
-      bool Replayed = true;
-      for (const std::vector<double> &Costs : Events) {
-        const Suggestion &Want = S->Learner->suggest();
-        if (Want.Phase == SuggestPhase::Done ||
-            !S->Learner->observe(Want.Ticket, Costs)) {
-          Replayed = false;
-          break;
-        }
-        for (double C : Costs)
-          S->TotalCostSeconds += C;
-      }
-      if (!Replayed)
-        goto corrupt;
-      S->Events = std::move(Events);
-      Sessions.emplace(Id, std::move(S));
-      ++Restored;
+    // The header names the session; it must match the file it sits in,
+    // which is where the session's later records will be appended.
+    if (ALIC_FAILPOINT("snapshot.restore").Fire || // injected unreadable
+        !readJournal(Opts.StateDir + "/" + Name, Records).ok() ||
+        Records.empty() || !parseHeaderRecord(Records[0], Id, Spec) ||
+        !validId(Id) || Name != "sess-" + Id + ".alsv") {
+      ++Bad;
       continue;
     }
-  corrupt:
-    ++Bad;
+    std::lock_guard<std::mutex> Lock(EngineMutex);
+    std::string Err;
+    std::shared_ptr<Session> S =
+        Sessions.count(Id) ? nullptr : buildSession(Spec, Err);
+    if (!S) {
+      ++Bad;
+      continue;
+    }
+    // Replay: state is a pure function of (spec, cost sequence), so
+    // driving the recorded costs through the deterministic loop lands
+    // exactly where the previous process stood.  The longest valid
+    // prefix is kept: a torn tail never reaches here, a sealed remnant is
+    // skipped, and so is a byte-identical repeat of an applied record (a
+    // retried append whose first write landed).
+    bool Cut = false;
+    for (size_t R = 1; R != Records.size(); ++R) {
+      size_t N = 0;
+      std::vector<double> Costs;
+      if (!parseEventRecord(Records[R], N, Costs) ||
+          (N < S->Events.size() &&
+           Records[R] + "\n" == eventRecord(N, S->Events[N])))
+        continue;
+      Cut = N != S->Events.size() ||
+            S->Learner->suggest().Phase == SuggestPhase::Done ||
+            !S->Learner->observe(S->Learner->suggest().Ticket, Costs);
+      if (Cut)
+        break;
+      for (double C : Costs)
+        S->TotalCostSeconds += C;
+      S->Events.push_back(std::move(Costs));
+    }
+    // A journal cut short by a bad record is rewritten from memory at the
+    // next checkpoint, so records appended later are never stranded
+    // behind it.
+    S->Durable = Cut ? 0 : S->Events.size() + 1;
+    Sessions.emplace(Id, std::move(S));
+    ++Restored;
   }
   if (Skipped)
     *Skipped = Bad;
@@ -510,9 +520,8 @@ size_t ServeEngine::snapshotAll() {
     std::lock_guard<std::mutex> Lock(S->M);
     if (S->Closed)
       continue;
-    if (S->SinceSnapshot > 0 || S->DirtySnapshot)
-      snapshot(Id, *S);
-    if (!S->DirtySnapshot)
+    checkpoint(Id, *S);
+    if (!pendingRecords(*S))
       ++Clean;
   }
   return Clean;

@@ -18,15 +18,18 @@
 /// first costs arrive the learner serves its sampling-plan seed
 /// configurations without consulting any model (explore-only serving).
 ///
-/// **Crash safety.**  Every session checkpoints to
-/// `<state-dir>/sess-<id>.alsv` through the same tmp+rename discipline as
-/// the campaign ledger.  The snapshot stores only (spec, seed, the
-/// sequence of observed cost vectors) — the learner's full state is a
-/// pure function of those (see core/ActiveLearner.h), so restore *replays*
-/// the log through suggest()/observe() and lands bit-identically where
-/// the killed process stood: the next suggestion after a restore is
-/// byte-identical to the one an uninterrupted engine would have issued,
-/// at any scheduler worker count.  serve_test pins this.
+/// **Crash safety.**  Every session keeps a journal (support/Journal.h),
+/// the same durable append-only record file as the campaign ledger, at
+/// `<state-dir>/sess-<id>.alsv`.  Its first record holds the session id
+/// and spec; each checkpoint then appends one record per observe not yet
+/// on disk.  The learner's full state is a pure function of (spec,
+/// the sequence of observed cost vectors) — see core/ActiveLearner.h — so
+/// restore *replays* the log through suggest()/observe() and lands
+/// bit-identically where the killed process stood: the next suggestion
+/// after a restore is byte-identical to the one an uninterrupted engine
+/// would have issued, at any scheduler worker count.  A journal cut
+/// anywhere restores the observes whose records are complete.
+/// serve_test pins both.
 ///
 /// **Thread-safety.**  All public methods are safe to call concurrently
 /// from any number of threads.  The engine holds one mutex over the
@@ -83,7 +86,7 @@ struct SessionSpec {
 
 /// Engine construction knobs.
 struct ServeOptions {
-  /// Directory for session snapshots (created on demand).  Empty
+  /// Directory for session journals (created on demand).  Empty
   /// disables checkpointing and restoreSessions().
   std::string StateDir;
   /// Dataset blob cache handed to loadOrBuildDataset; empty disables the
@@ -96,10 +99,10 @@ struct ServeOptions {
   /// Victim-selection seed for the scheduler (stress-test knob; results
   /// never depend on it).
   uint64_t StealSeed = 0x57ea1ull;
-  /// Snapshot every k-th observe() (1 = every observe).  Restores replay
-  /// only what was snapshotted, so larger values trade crash freshness
-  /// for write traffic; the snapshot written by the *next* observe
-  /// catches the session up again.
+  /// Checkpoint once k observes are pending (1 = every observe): each
+  /// checkpoint appends every pending observe's record to the session
+  /// journal.  Restores replay only what was checkpointed, so larger
+  /// values trade crash freshness for fsyncs.
   unsigned CheckpointEveryObserves = 1;
 };
 
@@ -115,9 +118,10 @@ struct SessionInfo {
   size_t Observes = 0;
   /// True once the completion criterion is met.
   bool Done = false;
-  /// True when the last snapshot attempt failed (disk full, injected
-  /// fault, ...).  The session keeps serving; the next observe on the
-  /// checkpoint cadence — or a snapshotAll() — retries the write.
+  /// True when a due checkpoint failed (disk full, injected fault, ...)
+  /// and its records are still only in memory.  The session keeps
+  /// serving; the next observe on the checkpoint cadence — or a
+  /// snapshotAll() — retries the append.
   bool SnapshotDirty = false;
 };
 
@@ -127,17 +131,18 @@ class ServeEngine {
 public:
   /// Starts the engine (and its scheduler, when Opts.Threads > 0).
   explicit ServeEngine(ServeOptions Opts);
-  /// Drops all sessions (snapshots stay on disk) and joins the scheduler.
+  /// Drops all sessions (journals stay on disk) and joins the scheduler.
   ~ServeEngine();
 
   ServeEngine(const ServeEngine &) = delete;            ///< non-copyable
   ServeEngine &operator=(const ServeEngine &) = delete; ///< non-copyable
 
   /// Creates session \p Id from \p Spec.  Ids are 1-64 characters from
-  /// [A-Za-z0-9._-] (they name snapshot files).  Fails — returning false
+  /// [A-Za-z0-9._-] (they name journal files).  Fails — returning false
   /// and setting \p Err — on a malformed id, a duplicate id, or an
   /// unknown benchmark.  On success the session is immediately
-  /// serveable and (with a StateDir) an empty snapshot is persisted.
+  /// serveable and (with a StateDir) a fresh journal holding only the
+  /// header record is persisted.
   bool openSession(const std::string &Id, const SessionSpec &Spec,
                    std::string &Err);
 
@@ -155,9 +160,9 @@ public:
   /// \p Id.  \p Costs holds ObservationsPerConfig values per suggested
   /// configuration, grouped by configuration.  Fails on an unknown
   /// session, a ticket that is not the outstanding one, or a wrong cost
-  /// count; the session is unchanged on failure.  On success the event
-  /// is appended to the session log and, on the configured cadence, the
-  /// session is re-snapshotted atomically.
+  /// count, or a non-finite cost; the session is unchanged on failure.
+  /// On success the event is appended to the session log and, on the
+  /// configured cadence, the pending records to the session journal.
   bool observe(const std::string &Id, uint64_t Ticket,
                const std::vector<double> &Costs, std::string &Err);
 
@@ -170,23 +175,26 @@ public:
   bool sessionInfo(const std::string &Id, SessionInfo &Out,
                    std::string &Err) const;
 
-  /// Drops session \p Id from memory and deletes its snapshot.  False
+  /// Drops session \p Id from memory and deletes its journal.  False
   /// when the id is unknown.
   bool closeSession(const std::string &Id);
 
-  /// Loads every `sess-*.alsv` snapshot under StateDir and replays each
+  /// Loads every `sess-*.alsv` journal under StateDir and replays each
   /// observation log through a fresh learner, reconstructing all session
-  /// states bit-identically (see file comment).  Unreadable or corrupt
-  /// snapshots are skipped — a crash mid-rename cannot take the daemon
-  /// down — and their count is reported via \p Skipped.  Returns the
-  /// number of sessions restored.  Call once, before serving.
+  /// states bit-identically (see file comment).  Replay keeps the
+  /// longest valid prefix of a session's records: unparsable lines (a
+  /// torn record sealed by a later append) and byte-identical repeats (a
+  /// retried append) are skipped, and the first out-of-sequence or
+  /// rejected record ends the replay.  A journal whose header is missing
+  /// or bad is skipped — a crash cannot take the daemon down — and
+  /// counted in \p Skipped.  Returns the number of sessions restored.
+  /// Call once, before serving.
   size_t restoreSessions(size_t *Skipped = nullptr);
 
-  /// Snapshots every live session that has unsnapshotted observations or
-  /// a dirty (previously failed) snapshot.  Returns the number of
-  /// sessions whose snapshot is now clean and current.  The daemon's
-  /// SIGTERM drain calls this so a graceful shutdown never loses
-  /// observations, whatever the checkpoint cadence.
+  /// Checkpoints every live session with records not yet on disk,
+  /// whatever the cadence.  Returns the number of sessions whose journal
+  /// is now current.  The daemon's SIGTERM drain calls this so a
+  /// graceful shutdown never loses observations.
   size_t snapshotAll();
 
   /// Ids of all live sessions, sorted.
@@ -202,15 +210,23 @@ private:
   struct Session;
 
   bool validId(const std::string &Id) const;
-  std::string snapshotPath(const std::string &Id) const;
+  std::string journalPath(const std::string &Id) const;
   std::shared_ptr<const Dataset> datasetFor(const SessionSpec &Spec);
   std::shared_ptr<Session> buildSession(const SessionSpec &Spec,
                                         std::string &Err);
-  void snapshot(const std::string &Id, Session &S);
-  /// Returns a reference-counted handle copied under EngineMutex, so the
-  /// session outlives any concurrent closeSession(); callers must still
-  /// take the session mutex and re-check its Closed flag.
-  std::shared_ptr<Session> find(const std::string &Id) const;
+  /// Journal records of \p S not yet on disk (0 without a StateDir).
+  size_t pendingRecords(const Session &S) const;
+  /// Appends the pending records of session \p Id.  Callers hold the
+  /// session mutex, or have not published the session yet.
+  void checkpoint(const std::string &Id, Session &S);
+  /// Resolves session \p Id into \p S and locks its mutex into \p Lock.
+  /// \p S is a reference-counted handle copied under EngineMutex, so the
+  /// session outlives a concurrent closeSession(); declare it before
+  /// \p Lock so the mutex is released before the handle.  False, with
+  /// \p Err set, when the id is unknown or the session was closed.
+  bool lockSession(const std::string &Id, std::shared_ptr<Session> &S,
+                   std::unique_lock<std::mutex> &Lock,
+                   std::string &Err) const;
 
   ServeOptions Opts;
   std::unique_ptr<Scheduler> Sched;

@@ -2,18 +2,17 @@
 
 #include "serve/Wire.h"
 
+#include "exp/Campaign.h"
 #include "serve/ServeEngine.h"
 #include "support/Json.h"
 
-#include <cstdio>
-
 using namespace alic;
 
-namespace {
-
-std::string errorReply(const std::string &Message) {
+std::string alic::errorReply(const std::string &Message) {
   return "{\"ok\":false,\"error\":\"" + jsonEscape(Message) + "\"}";
 }
+
+namespace {
 
 const char *phaseToken(SuggestPhase Phase) {
   switch (Phase) {
@@ -57,6 +56,20 @@ bool optionalU64(const JsonValue &Obj, const char *Name, uint64_t &Out,
   return true;
 }
 
+/// Reads an optional token field through \p Parse; an empty or absent
+/// field keeps the default.  \p Want lists the accepted forms.
+template <typename ParseT>
+bool optionalToken(const JsonValue &Obj, const char *Name, ParseT Parse,
+                   const char *Want, std::string &Err) {
+  std::string Token;
+  if (!optionalString(Obj, Name, Token, Err))
+    return false;
+  if (Token.empty() || Parse(Token))
+    return true;
+  Err = std::string("unknown ") + Name + " '" + Token + "' (want " + Want + ")";
+  return false;
+}
+
 /// Parses the optional `spec` object of an `open` request into \p Spec
 /// (fields missing from the wire keep their SessionSpec defaults).
 bool parseSpec(const JsonValue &Root, SessionSpec &Spec, std::string &Err) {
@@ -70,61 +83,26 @@ bool parseSpec(const JsonValue &Root, SessionSpec &Spec, std::string &Err) {
   if (!optionalString(*S, "benchmark", Spec.Benchmark, Err))
     return false;
 
-  std::string Model;
-  if (!optionalString(*S, "model", Model, Err))
+  // Model, scorer, plan and policy travel in their campaign token forms
+  // (exp/Campaign.h, core/QueryPolicy.h).
+  auto ToModel = [&](const std::string &T) {
+    return parseModelToken(T, Spec.Model);
+  };
+  auto ToScorer = [&](const std::string &T) {
+    return parseScorerToken(T, Spec.Scorer);
+  };
+  auto ToPlan = [&](const std::string &T) {
+    return parsePlanToken(T, Spec.Plan);
+  };
+  auto ToPolicy = [&](const std::string &T) {
+    return parseQueryPolicy(T, Spec.Query);
+  };
+  if (!optionalToken(*S, "model", ToModel, "dynatree|gp|gp_sor", Err) ||
+      !optionalToken(*S, "scorer", ToScorer, "alc|alm|random", Err) ||
+      !optionalToken(*S, "plan", ToPlan, "seq:<cap>|fixed:<obs>", Err) ||
+      !optionalToken(*S, "policy", ToPolicy,
+                     "always|alm[:abs[:rel]]|cost[:c0[:c1]]", Err))
     return false;
-  if (Model == "gp")
-    Spec.Model = ModelKind::Gp;
-  else if (Model == "gp_sor")
-    Spec.Model = ModelKind::GpSor;
-  else if (Model == "dynatree" || Model.empty())
-    Spec.Model = ModelKind::DynaTree;
-  else {
-    Err = "unknown model '" + Model + "' (want dynatree|gp|gp_sor)";
-    return false;
-  }
-
-  std::string Scorer;
-  if (!optionalString(*S, "scorer", Scorer, Err))
-    return false;
-  if (Scorer == "alm")
-    Spec.Scorer = ScorerKind::Alm;
-  else if (Scorer == "random")
-    Spec.Scorer = ScorerKind::Random;
-  else if (Scorer == "alc" || Scorer.empty())
-    Spec.Scorer = ScorerKind::Alc;
-  else {
-    Err = "unknown scorer '" + Scorer + "' (want alc|alm|random)";
-    return false;
-  }
-
-  // Plans travel in the campaign ledger's token form: "seq:<cap>" or
-  // "fixed:<observations>".
-  std::string Plan;
-  if (!optionalString(*S, "plan", Plan, Err))
-    return false;
-  if (!Plan.empty()) {
-    unsigned Count = 0;
-    if (std::sscanf(Plan.c_str(), "seq:%u", &Count) == 1)
-      Spec.Plan = SamplingPlan::sequential(Count);
-    else if (std::sscanf(Plan.c_str(), "fixed:%u", &Count) == 1)
-      Spec.Plan = SamplingPlan::fixed(Count);
-    else {
-      Err = "unknown plan '" + Plan + "' (want seq:<cap>|fixed:<obs>)";
-      return false;
-    }
-  }
-
-  // Query policies travel in their campaign token form: "always",
-  // "alm[:abs[:rel]]", or "cost[:c0[:c1]]" (core/QueryPolicy.h).
-  std::string Policy;
-  if (!optionalString(*S, "policy", Policy, Err))
-    return false;
-  if (!Policy.empty() && !parseQueryPolicy(Policy, Spec.Query)) {
-    Err = "unknown policy '" + Policy + "' (want always|alm[:abs[:rel]]|" +
-          "cost[:c0[:c1]])";
-    return false;
-  }
 
   uint64_t Batch = Spec.BatchSize;
   if (!optionalU64(*S, "batch", Batch, Err))
@@ -176,99 +154,62 @@ std::string suggestionReply(const Suggestion &S) {
   return Reply;
 }
 
-} // namespace
-
-bool alic::handleRequestLine(ServeEngine &Engine, const std::string &Line,
-                             std::string &Reply) {
-  JsonValue Root;
-  if (!parseJson(Line.c_str(), Root) || Root.K != JsonValue::Kind::Object) {
-    Reply = errorReply("malformed request (want one JSON object per line)");
-    return false;
-  }
+/// The reply to one request object; a `shutdown` op sets \p Shutdown.
+std::string dispatch(ServeEngine &Engine, const JsonValue &Root,
+                     bool &Shutdown) {
   std::string Op;
-  if (!jsonStringField(Root, "op", Op)) {
-    Reply = errorReply("missing string field 'op'");
-    return false;
-  }
-
-  if (Op == "ping") {
-    Reply = "{\"ok\":true,\"sessions\":" +
-            std::to_string(Engine.sessionCount()) + "}";
-    return false;
-  }
+  if (!jsonStringField(Root, "op", Op))
+    return errorReply("missing string field 'op'");
+  if (Op == "ping")
+    return "{\"ok\":true,\"sessions\":" +
+           std::to_string(Engine.sessionCount()) + "}";
   if (Op == "shutdown") {
-    Reply = "{\"ok\":true,\"bye\":true}";
-    return true;
+    Shutdown = true;
+    return "{\"ok\":true,\"bye\":true}";
   }
 
-  std::string Id;
-  if (!jsonStringField(Root, "session", Id)) {
-    Reply = errorReply("missing string field 'session'");
-    return false;
-  }
-  std::string Err;
+  std::string Id, Err;
+  if (!jsonStringField(Root, "session", Id))
+    return errorReply("missing string field 'session'");
 
   if (Op == "open") {
     SessionSpec Spec;
-    if (!parseSpec(Root, Spec, Err)) {
-      Reply = errorReply(Err);
-      return false;
-    }
-    if (!Engine.openSession(Id, Spec, Err)) {
-      Reply = errorReply(Err);
-      return false;
-    }
-    Reply = "{\"ok\":true,\"session\":\"" + jsonEscape(Id) + "\"}";
-    return false;
+    if (!parseSpec(Root, Spec, Err) || !Engine.openSession(Id, Spec, Err))
+      return errorReply(Err);
+    return "{\"ok\":true,\"session\":\"" + jsonEscape(Id) + "\"}";
   }
 
   if (Op == "suggest") {
     Suggestion S;
-    if (!Engine.suggest(Id, S, Err)) {
-      Reply = errorReply(Err);
-      return false;
-    }
-    Reply = suggestionReply(S);
-    return false;
+    return Engine.suggest(Id, S, Err) ? suggestionReply(S) : errorReply(Err);
   }
 
   if (Op == "observe") {
     double TicketNumber = -1.0;
-    if (!jsonNumberField(Root, "ticket", TicketNumber) || TicketNumber < 0) {
-      Reply = errorReply("missing numeric field 'ticket'");
-      return false;
-    }
+    if (!jsonNumberField(Root, "ticket", TicketNumber) || TicketNumber < 0)
+      return errorReply("missing numeric field 'ticket'");
     const JsonValue *CostsField = Root.field("costs");
-    if (!CostsField || CostsField->K != JsonValue::Kind::Array) {
-      Reply = errorReply("missing array field 'costs'");
-      return false;
-    }
+    if (!CostsField || CostsField->K != JsonValue::Kind::Array)
+      return errorReply("missing array field 'costs'");
     std::vector<double> Costs;
     Costs.reserve(CostsField->Items.size());
     for (const JsonValue &Item : CostsField->Items) {
-      if (Item.K != JsonValue::Kind::Number) {
-        Reply = errorReply("field 'costs' must hold numbers only");
-        return false;
-      }
+      if (Item.K != JsonValue::Kind::Number)
+        return errorReply("field 'costs' must hold numbers only");
       Costs.push_back(Item.Number);
     }
-    if (!Engine.observe(Id, uint64_t(TicketNumber), Costs, Err)) {
-      Reply = errorReply(Err);
-      return false;
-    }
+    if (!Engine.observe(Id, uint64_t(TicketNumber), Costs, Err))
+      return errorReply(Err);
     SessionInfo Info;
     size_t Observes = Engine.sessionInfo(Id, Info, Err) ? Info.Observes : 0;
-    Reply = "{\"ok\":true,\"observes\":" + std::to_string(Observes) + "}";
-    return false;
+    return "{\"ok\":true,\"observes\":" + std::to_string(Observes) + "}";
   }
 
   if (Op == "info") {
     SessionInfo Info;
-    if (!Engine.sessionInfo(Id, Info, Err)) {
-      Reply = errorReply(Err);
-      return false;
-    }
-    Reply = "{\"ok\":true,\"phase\":\"";
+    if (!Engine.sessionInfo(Id, Info, Err))
+      return errorReply(Err);
+    std::string Reply = "{\"ok\":true,\"phase\":\"";
     Reply += phaseToken(Info.Phase);
     Reply += "\",\"iterations\":" + std::to_string(Info.Stats.Iterations);
     Reply += ",\"distinct\":" + std::to_string(Info.Stats.DistinctExamples);
@@ -284,29 +225,32 @@ bool alic::handleRequestLine(ServeEngine &Engine, const std::string &Line,
     Reply += std::string(",\"done\":") + (Info.Done ? "true" : "false");
     Reply += std::string(",\"snapshot_dirty\":") +
              (Info.SnapshotDirty ? "true" : "false");
-    Reply += "}";
-    return false;
+    return Reply + "}";
   }
 
   if (Op == "eval") {
     double Rmse = 0.0;
-    if (!Engine.evaluate(Id, Rmse, Err)) {
-      Reply = errorReply(Err);
-      return false;
-    }
-    Reply = "{\"ok\":true,\"rmse\":" + formatJsonDouble(Rmse) + "}";
-    return false;
+    if (!Engine.evaluate(Id, Rmse, Err))
+      return errorReply(Err);
+    return "{\"ok\":true,\"rmse\":" + formatJsonDouble(Rmse) + "}";
   }
 
-  if (Op == "close") {
-    if (!Engine.closeSession(Id)) {
-      Reply = errorReply("unknown session '" + Id + "'");
-      return false;
-    }
-    Reply = "{\"ok\":true}";
-    return false;
-  }
+  if (Op == "close")
+    return Engine.closeSession(Id) ? "{\"ok\":true}"
+                                   : errorReply("unknown session '" + Id + "'");
 
-  Reply = errorReply("unknown op '" + Op + "'");
-  return false;
+  return errorReply("unknown op '" + Op + "'");
+}
+
+} // namespace
+
+bool alic::handleRequestLine(ServeEngine &Engine, const std::string &Line,
+                             std::string &Reply) {
+  JsonValue Root;
+  bool Shutdown = false;
+  if (!parseJson(Line.c_str(), Root) || Root.K != JsonValue::Kind::Object)
+    Reply = errorReply("malformed request (want one JSON object per line)");
+  else
+    Reply = dispatch(Engine, Root, Shutdown);
+  return Shutdown;
 }

@@ -38,6 +38,11 @@ class ServeEngine;
 bool handleRequestLine(ServeEngine &Engine, const std::string &Line,
                        std::string &Reply);
 
+/// The `{"ok":false,"error":...}` reply object carrying \p Message (no
+/// trailing newline).  Transports use it for failures they detect before
+/// dispatch, such as an oversized request.
+std::string errorReply(const std::string &Message);
+
 } // namespace alic
 
 #endif // ALIC_SERVE_WIRE_H

@@ -3,6 +3,7 @@
 #include "support/FailPoint.h"
 
 #include "support/Env.h"
+#include "support/Format.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -52,14 +53,6 @@ int modeErrno(const std::string &Token, bool &Ok) {
     return EMFILE;
   Ok = false;
   return 0;
-}
-
-bool parseU64(const std::string &Text, uint64_t &Out) {
-  if (Text.empty() ||
-      Text.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  Out = std::strtoull(Text.c_str(), nullptr, 10);
-  return true;
 }
 
 /// Parses ALIC_FAILPOINTS exactly once per process; called under the
@@ -132,10 +125,10 @@ bool alic::parseFailSpec(const std::string &Text, FailSpec &Spec) {
     std::string Value =
         Colon == std::string::npos ? std::string() : Part.substr(Colon + 1);
     if (Key == "nth") {
-      if (!parseU64(Value, Spec.Nth) || Spec.Nth == 0)
+      if (!parseDecimal(Value, UINT64_MAX, Spec.Nth) || Spec.Nth == 0)
         return false;
     } else if (Key == "count") {
-      if (!parseU64(Value, Spec.Count) || Spec.Count == 0)
+      if (!parseDecimal(Value, UINT64_MAX, Spec.Count) || Spec.Count == 0)
         return false;
     } else if (Key == "mode") {
       SawMode = true;
@@ -143,14 +136,14 @@ bool alic::parseFailSpec(const std::string &Text, FailSpec &Spec) {
         Spec.Mode = FailMode::Crash;
       } else if (Value.rfind("torn:", 0) == 0) {
         uint64_t Bytes;
-        if (!parseU64(Value.substr(5), Bytes))
+        if (!parseDecimal(Value.substr(5), UINT64_MAX, Bytes))
           return false;
         Spec.Mode = FailMode::Torn;
         Spec.TornBytes = size_t(Bytes);
         Spec.Errno = ENOSPC; // a torn write is a full disk unless overridden
       } else if (Value.rfind("errno:", 0) == 0) {
         uint64_t Err;
-        if (!parseU64(Value.substr(6), Err) || Err == 0)
+        if (!parseDecimal(Value.substr(6), UINT64_MAX, Err) || Err == 0)
           return false;
         Spec.Mode = FailMode::Error;
         Spec.Errno = int(Err);
@@ -164,7 +157,7 @@ bool alic::parseFailSpec(const std::string &Text, FailSpec &Spec) {
       }
     } else if (Key == "exit") {
       uint64_t Code;
-      if (!parseU64(Value, Code) || Code > 255)
+      if (!parseDecimal(Value, UINT64_MAX, Code) || Code > 255)
         return false;
       Spec.ExitCode = int(Code);
     } else {

@@ -2,9 +2,11 @@
 
 #include "support/Format.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace alic;
 
@@ -75,4 +77,15 @@ std::string alic::padRight(const std::string &Text, size_t Width) {
   if (Text.size() >= Width)
     return Text;
   return Text + std::string(Width - Text.size(), ' ');
+}
+
+bool alic::parseDecimal(const std::string &Text, uint64_t Max, uint64_t &Out) {
+  if (Text.empty() || Text.find_first_not_of("0123456789") != std::string::npos)
+    return false;
+  errno = 0;
+  unsigned long long Value = std::strtoull(Text.c_str(), nullptr, 10);
+  if (errno == ERANGE || Value > Max)
+    return false;
+  Out = Value;
+  return true;
 }

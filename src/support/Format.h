@@ -41,6 +41,11 @@ std::string padLeft(const std::string &Text, size_t Width);
 /// Pads \p Text on the right with spaces to at least \p Width columns.
 std::string padRight(const std::string &Text, size_t Width);
 
+/// Parses \p Text as a plain decimal integer no greater than \p Max: no
+/// sign, spaces or trailing bytes (strtoull alone accepts "-1" and wraps
+/// it).  False, leaving \p Out untouched, on anything else.
+bool parseDecimal(const std::string &Text, uint64_t Max, uint64_t &Out);
+
 } // namespace alic
 
 #endif // ALIC_SUPPORT_FORMAT_H

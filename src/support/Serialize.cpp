@@ -4,6 +4,7 @@
 
 #include "support/FailPoint.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -35,11 +36,6 @@ void ByteWriter::writeDouble(double Value) {
   writeU64(Bits);
 }
 
-void ByteWriter::writeString(const std::string &Value) {
-  writeU64(Value.size());
-  Buffer.insert(Buffer.end(), Value.begin(), Value.end());
-}
-
 void ByteWriter::writeU16s(const std::vector<uint16_t> &Values) {
   writeU64(Values.size());
   for (uint16_t V : Values)
@@ -52,41 +48,38 @@ void ByteWriter::writeDoubles(const std::vector<double> &Values) {
     writeDouble(V);
 }
 
-namespace {
-
-/// Writes all of [Data, Data+Size) to \p Fd, honoring the
-/// `atomicfile.write` failpoint (torn mode lets the first TornBytes
-/// through, then fails — what ENOSPC mid-write looks like).  Retries
-/// EINTR-interrupted writes.
-Status writeAllTo(int Fd, const uint8_t *Data, size_t Size,
-                  const std::string &TmpPath) {
-  FailOutcome F = ALIC_FAILPOINT("atomicfile.write");
-  if (F.Fire) {
-    if (F.Mode == FailMode::Torn && F.TornBytes > 0 && Size > 0) {
-      size_t Partial = F.TornBytes < Size ? F.TornBytes : Size;
-      size_t Done = 0;
-      while (Done < Partial) {
-        ssize_t N = ::write(Fd, Data + Done, Partial - Done);
-        if (N <= 0)
-          break;
-        Done += size_t(N);
-      }
-    }
-    return Status::failure("write " + TmpPath + " (injected)", F.Errno);
-  }
-  size_t Done = 0;
-  while (Done < Size) {
-    ssize_t N = ::write(Fd, Data + Done, Size - Done);
+Status alic::writeAndSync(int Fd, const void *Data, size_t Size,
+                          const std::string &Path, const char *WriteSite,
+                          const char *SyncSite) {
+  FailOutcome F = WriteSite ? ALIC_FAILPOINT(WriteSite) : FailOutcome();
+  if (F.Fire)
+    Size = F.Mode == FailMode::Torn ? std::min(Size, F.TornBytes) : 0;
+  const char *Bytes = static_cast<const char *>(Data);
+  for (size_t Done = 0; Done < Size;) {
+    ssize_t N = ::write(Fd, Bytes + Done, Size - Done);
     if (N < 0 && errno == EINTR)
       continue;
     if (N <= 0)
-      return Status::failure("write " + TmpPath, errno);
+      return Status::failure("write " + Path, N < 0 ? errno : EIO);
     Done += size_t(N);
   }
+  if (F.Fire)
+    return Status::failure("write " + Path + " (injected)", F.Errno);
+  F = SyncSite ? ALIC_FAILPOINT(SyncSite) : FailOutcome();
+  if (F.Fire)
+    return Status::failure("fsync " + Path + " (injected)", F.Errno);
+  if (::fsync(Fd) != 0)
+    return Status::failure("fsync " + Path, errno);
   return Status::success();
 }
 
-} // namespace
+bool alic::writeTextFile(const std::string &Path, const std::string &Text) {
+  std::FILE *File = std::fopen(Path.c_str(), "wb");
+  if (!File)
+    return false;
+  bool Wrote = std::fwrite(Text.data(), 1, Text.size(), File) == Text.size();
+  return std::fclose(File) == 0 && Wrote;
+}
 
 // Doc comment in Serialize.h: the shared directory-fsync discipline.
 Status alic::syncParentDir(const std::string &Path) {
@@ -114,15 +107,8 @@ Status ByteWriter::writeFileDurable(const std::string &Path) const {
   if (Fd < 0)
     return Status::failure("open " + TmpPath, errno);
 
-  Status St = writeAllTo(Fd, Buffer.data(), Buffer.size(), TmpPath);
-
-  if (St.ok()) {
-    FailOutcome F = ALIC_FAILPOINT("atomicfile.sync");
-    if (F.Fire)
-      St = Status::failure("fsync " + TmpPath + " (injected)", F.Errno);
-    else if (::fsync(Fd) != 0)
-      St = Status::failure("fsync " + TmpPath, errno);
-  }
+  Status St = writeAndSync(Fd, Buffer.data(), Buffer.size(), TmpPath,
+                           "atomicfile.write", "atomicfile.sync");
   if (::close(Fd) != 0 && St.ok())
     St = Status::failure("close " + TmpPath, errno);
   if (!St.ok()) {
@@ -143,20 +129,25 @@ Status ByteWriter::writeFileDurable(const std::string &Path) const {
   return syncParentDir(Path);
 }
 
-bool ByteReader::fromFile(const std::string &Path, ByteReader &Out) {
+Status alic::readFileBytes(const std::string &Path, std::string &Out) {
+  Out.clear();
   std::FILE *File = std::fopen(Path.c_str(), "rb");
   if (!File)
-    return false;
-  std::vector<uint8_t> Bytes;
-  uint8_t Chunk[1 << 16];
+    return Status::failure("open " + Path, errno);
+  char Chunk[1 << 16];
   size_t Got;
   while ((Got = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
-    Bytes.insert(Bytes.end(), Chunk, Chunk + Got);
+    Out.append(Chunk, Got);
   bool Ok = std::ferror(File) == 0;
   std::fclose(File);
-  if (!Ok)
+  return Ok ? Status::success() : Status::failure("read " + Path, EIO);
+}
+
+bool ByteReader::fromFile(const std::string &Path, ByteReader &Out) {
+  std::string Bytes;
+  if (!readFileBytes(Path, Bytes).ok())
     return false;
-  Out = ByteReader(std::move(Bytes));
+  Out = ByteReader(std::vector<uint8_t>(Bytes.begin(), Bytes.end()));
   return true;
 }
 
@@ -167,15 +158,6 @@ bool ByteReader::take(size_t Count, const uint8_t *&Out) {
   }
   Out = Buffer.data() + Pos;
   Pos += Count;
-  return true;
-}
-
-bool ByteReader::readU8(uint8_t &Value) {
-  Value = 0;
-  const uint8_t *Bytes;
-  if (!take(1, Bytes))
-    return false;
-  Value = Bytes[0];
   return true;
 }
 
@@ -214,18 +196,6 @@ bool ByteReader::readDouble(double &Value) {
   if (!readU64(Bits))
     return false;
   std::memcpy(&Value, &Bits, sizeof(Value));
-  return true;
-}
-
-bool ByteReader::readString(std::string &Value) {
-  Value.clear();
-  uint64_t Count;
-  if (!readU64(Count))
-    return false;
-  const uint8_t *Bytes;
-  if (!take(size_t(Count), Bytes))
-    return false;
-  Value.assign(Bytes, Bytes + Count);
   return true;
 }
 

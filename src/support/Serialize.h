@@ -6,7 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A tiny explicit-layout binary serializer used for on-disk caches (the
+/// The project's file-I/O steps (directory fsync, write-then-fsync, whole
+/// file reads and writes, atomic durable replace) and a tiny
+/// explicit-layout binary serializer used for on-disk caches (the
 /// campaign orchestrator memoizes buildDataset blobs with it).  Every
 /// scalar is written little-endian byte by byte and doubles travel as raw
 /// IEEE-754 bits, so a round trip reproduces values bit-for-bit on any
@@ -30,24 +32,40 @@ namespace alic {
 /// fsync of the directory containing \p Path, making a completed create,
 /// rename, or unlink inside it durable — the same discipline
 /// ByteWriter::writeFileDurable applies after its rename.  Exposed so
-/// other durable-file protocols (the campaign ledger's first create, the
-/// lease directory's claim/steal transitions) reuse it instead of
+/// other durable-file protocols (a journal's first create, the lease
+/// directory's claim/steal transitions) reuse it instead of
 /// re-deriving the fsync rules.  Best-effort on filesystems that reject
 /// directory fsync (errno EINVAL is ignored, the POSIX escape hatch).
 /// Fault-injection site: atomicfile.dirsync.
 Status syncParentDir(const std::string &Path);
 
+/// The write-then-fsync step every durable file protocol shares
+/// (writeFileDurable, journal appends, lease claims): writes all \p Size
+/// bytes at \p Data to \p Fd, riding out EINTR and short writes, then
+/// fsyncs.  When named, the \p WriteSite failpoint is checked before the
+/// write (torn mode lets the first TornBytes through, then fails, as
+/// ENOSPC mid-write would) and \p SyncSite before the fsync.  \p Path
+/// names the file in failure messages.
+Status writeAndSync(int Fd, const void *Data, size_t Size,
+                    const std::string &Path, const char *WriteSite = nullptr,
+                    const char *SyncSite = nullptr);
+
+/// Reads the whole file at \p Path into \p Out.
+Status readFileBytes(const std::string &Path, std::string &Out);
+
+/// Writes \p Text to \p Path, replacing it; false when any step fails,
+/// including the flush at close that a full disk can fail.  No fsync: for
+/// reports a rerun regenerates.
+bool writeTextFile(const std::string &Path, const std::string &Text);
+
 /// Appends scalars and vectors to a growing byte buffer.
 class ByteWriter {
 public:
-  void writeU8(uint8_t Value) { Buffer.push_back(Value); }
   void writeU16(uint16_t Value);
   void writeU32(uint32_t Value);
   void writeU64(uint64_t Value);
   /// Raw IEEE-754 bits; round-trips exactly.
   void writeDouble(double Value);
-  /// u64 length followed by the bytes.
-  void writeString(const std::string &Value);
   /// Raw bytes, verbatim, no length prefix — for text artifacts (e.g.
   /// the merged campaign ledger) that want writeFileDurable's atomic
   /// durable publish without the binary framing.
@@ -76,11 +94,6 @@ public:
   /// kill-at-every-sync-point chaos tests.
   Status writeFileDurable(const std::string &Path) const;
 
-  /// Compatibility wrapper around writeFileDurable: true on success.
-  bool writeFileAtomic(const std::string &Path) const {
-    return writeFileDurable(Path).ok();
-  }
-
 private:
   std::vector<uint8_t> Buffer;
 };
@@ -96,12 +109,10 @@ public:
   /// Loads \p Path into a reader; false when the file cannot be read.
   static bool fromFile(const std::string &Path, ByteReader &Out);
 
-  bool readU8(uint8_t &Value);
   bool readU16(uint16_t &Value);
   bool readU32(uint32_t &Value);
   bool readU64(uint64_t &Value);
   bool readDouble(double &Value);
-  bool readString(std::string &Value);
   bool readU16s(std::vector<uint16_t> &Values);
   bool readDoubles(std::vector<double> &Values);
 

@@ -4,6 +4,7 @@
 
 #include "support/Error.h"
 #include "support/Format.h"
+#include "support/Serialize.h"
 
 #include <algorithm>
 #include <cassert>
@@ -74,13 +75,7 @@ std::string Table::toCsv() const {
 }
 
 bool Table::writeCsv(const std::string &Path) const {
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File)
-    return false;
-  std::string Text = toCsv();
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  std::fclose(File);
-  return Written == Text.size();
+  return writeTextFile(Path, toCsv());
 }
 
 void alic::printBanner(const std::string &Title, std::FILE *Out) {

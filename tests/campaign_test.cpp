@@ -515,6 +515,41 @@ TEST(CampaignTest, AggregateMatchesRunAveragedSemantics) {
 // Query-policy axis
 //===----------------------------------------------------------------------===//
 
+TEST(CampaignTest, TokenParsersInvertTheTokenFunctions) {
+  for (ModelKind Kind : {ModelKind::DynaTree, ModelKind::Gp, ModelKind::GpSor}) {
+    ModelKind Parsed = ModelKind::DynaTree;
+    ASSERT_TRUE(parseModelToken(modelToken(Kind), Parsed));
+    EXPECT_EQ(Parsed, Kind);
+  }
+  for (ScorerKind Kind : {ScorerKind::Alc, ScorerKind::Alm, ScorerKind::Random}) {
+    ScorerKind Parsed = ScorerKind::Alc;
+    ASSERT_TRUE(parseScorerToken(scorerToken(Kind), Parsed));
+    EXPECT_EQ(Parsed, Kind);
+  }
+  for (const SamplingPlan &Plan :
+       {SamplingPlan::fixed(35), SamplingPlan::fixed(1),
+        SamplingPlan::sequential(35), SamplingPlan::sequential(4294967295u)}) {
+    SamplingPlan Parsed = SamplingPlan::fixed(7);
+    ASSERT_TRUE(parsePlanToken(planToken(Plan), Parsed)) << planToken(Plan);
+    EXPECT_EQ(planToken(Parsed), planToken(Plan));
+    EXPECT_EQ(Parsed.PlanKind, Plan.PlanKind);
+  }
+
+  ModelKind Model = ModelKind::Gp;
+  EXPECT_FALSE(parseModelToken("", Model));
+  EXPECT_FALSE(parseModelToken("GP", Model));
+  EXPECT_EQ(Model, ModelKind::Gp); // untouched on failure
+  ScorerKind Scorer = ScorerKind::Alm;
+  EXPECT_FALSE(parseScorerToken("alc ", Scorer));
+  EXPECT_EQ(Scorer, ScorerKind::Alm);
+  SamplingPlan Plan = SamplingPlan::fixed(7);
+  for (const char *Bad : {"", "seq", "seq:", "seq:5x", "seq:-1", "seq: 5",
+                          "fixed:4294967296", "fixed:99999999999",
+                          "step:3", ":3"})
+    EXPECT_FALSE(parsePlanToken(Bad, Plan)) << Bad;
+  EXPECT_EQ(planToken(Plan), "fixed:7");
+}
+
 TEST(CampaignTest, PolicyAxisKeysAreLegacyStableForAlways) {
   // Always cells must keep their pre-policy ledger keys (so old ledgers
   // stay valid and policy sweeps share the baseline cells); non-default

@@ -173,7 +173,7 @@ namespace {
 
 ByteWriter payloadWriter(const std::string &Text) {
   ByteWriter W;
-  W.writeString(Text);
+  W.writeRaw(Text);
   return W;
 }
 
@@ -222,11 +222,7 @@ TEST_F(FailPointTest, FsyncAndRenameFaultsNeverPublish) {
     Spec.Errno = EIO;
     ScopedFailPoint Fp(Site, Spec);
     EXPECT_FALSE(payloadWriter("new").writeFileDurable(Path).ok()) << Site;
-    ByteReader R({});
-    ASSERT_TRUE(ByteReader::fromFile(Path, R)) << Site;
-    std::string Got;
-    EXPECT_TRUE(R.readString(Got)) << Site;
-    EXPECT_EQ(Got, "old") << Site;
+    EXPECT_EQ(slurp(Path), "old") << Site;
     EXPECT_FALSE(exists(Path + ".tmp")) << Site;
   }
 }
@@ -241,11 +237,7 @@ TEST_F(FailPointTest, RetryAfterFaultSucceeds) {
   EXPECT_FALSE(payloadWriter("v").writeFileDurable(Path).ok());
   EXPECT_TRUE(payloadWriter("v").writeFileDurable(Path).ok());
   disarmFailPoint("atomicfile.write");
-  ByteReader R({});
-  ASSERT_TRUE(ByteReader::fromFile(Path, R));
-  std::string Got;
-  EXPECT_TRUE(R.readString(Got));
-  EXPECT_EQ(Got, "v");
+  EXPECT_EQ(slurp(Path), "v");
 }
 
 TEST_F(FailPointTest, CrashModeExitsAtTheSite) {

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
@@ -329,9 +330,11 @@ TEST(ServeEngineTest, ErrorPaths) {
 // closeSession racing in-flight calls on the same session: the callers
 // hold a reference-counted handle, so under ASan/TSan this pins that no
 // call ever touches a destroyed session (failed "unknown session" replies
-// are the expected outcome, crashes and races are not).
+// are the expected outcome, crashes and races are not).  Observes append
+// to the session journal, and a closed session leaves no journal behind.
 TEST(ServeEngineTest, CloseRacingInFlightCallsIsSafe) {
-  ServeEngine Engine(engineOptions("", 0));
+  std::string Dir = freshStateDir("close_race");
+  ServeEngine Engine(engineOptions(Dir, 0));
   std::atomic<bool> Stop{false};
   std::vector<std::thread> Hammers;
   for (int T = 0; T != 2; ++T)
@@ -360,6 +363,8 @@ TEST(ServeEngineTest, CloseRacingInFlightCallsIsSafe) {
   for (std::thread &H : Hammers)
     H.join();
   EXPECT_EQ(Engine.sessionCount(), 0u);
+  EXPECT_FALSE(std::filesystem::exists(Dir + "/sess-raced.alsv"));
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(ServeEngineTest, CorruptSnapshotsAreSkippedNotFatal) {
@@ -461,6 +466,211 @@ TEST(ServeEngineTest, InjectedRestoreFaultSkipsNotFatal) {
   EXPECT_EQ(Skipped, 1u);
   EXPECT_EQ(Engine.sessionIds(), std::vector<std::string>{"b"});
   disarmAllFailPoints();
+  std::filesystem::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// Session journals: truncation, sealed retries, exact specs
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+void writeFile(const std::string &Path, const std::string &Bytes) {
+  std::ofstream(Path, std::ios::binary) << Bytes;
+}
+
+/// A session with a two-example explore phase, so its journal records
+/// are short and a byte-by-byte truncation sweep stays cheap.
+SessionSpec smallRecordSpec() {
+  SessionSpec Spec = tinySpec();
+  Spec.Scale.NumInitial = 2;
+  Spec.Scale.InitObservations = 2;
+  return Spec;
+}
+
+/// Observes \p S with costs that depend only on their position.
+void observeFixed(ServeEngine &Engine, const std::string &Id) {
+  Suggestion S;
+  std::string Err;
+  ASSERT_TRUE(Engine.suggest(Id, S, Err)) << Err;
+  std::vector<double> Costs(S.Configs.size() * S.ObservationsPerConfig);
+  for (size_t I = 0; I != Costs.size(); ++I)
+    Costs[I] = 0.25 + 0.125 * double(I);
+  ASSERT_TRUE(Engine.observe(Id, S.Ticket, Costs, Err)) << Err;
+}
+
+std::string nextFingerprint(ServeEngine &Engine, const std::string &Id) {
+  Suggestion S;
+  std::string Err;
+  EXPECT_TRUE(Engine.suggest(Id, S, Err)) << Err;
+  return fingerprint(S);
+}
+
+} // namespace
+
+// Every cut of a real journal restores exactly its complete records: the
+// restored session's next suggestion is byte-identical to the live
+// engine's after that many observes.  A cut inside the header skips the
+// session.
+TEST(ServeJournalTest, EveryTruncationRestoresTheCompleteRecordPrefix) {
+  const size_t Rounds = 4;
+  std::string Dir = freshStateDir("truncate");
+  ServeOptions Opts = engineOptions(Dir, 0);
+  Opts.DatasetCacheDir = Dir + "/datasets";
+  std::vector<std::string> Live; // Live[k]: the suggestion after k observes
+  {
+    ServeEngine Engine(Opts);
+    std::string Err;
+    ASSERT_TRUE(Engine.openSession("s", smallRecordSpec(), Err)) << Err;
+    Client C("atax");
+    drain(Engine, "s", C, Live, Rounds);
+    Live.push_back(nextFingerprint(Engine, "s"));
+  }
+  const std::string Path = Dir + "/sess-s.alsv";
+  const std::string Journal = readFile(Path);
+  // At --checkpoint-every=1: the header plus one record per observe.
+  ASSERT_EQ(size_t(std::count(Journal.begin(), Journal.end(), '\n')),
+            Rounds + 1);
+  const size_t HeaderEnd = Journal.find('\n') + 1;
+
+  for (size_t Cut = 0; Cut <= Journal.size(); ++Cut) {
+    SCOPED_TRACE("journal cut at byte " + std::to_string(Cut));
+    writeFile(Path, Journal.substr(0, Cut));
+    ServeEngine Engine(Opts);
+    size_t Skipped = 0;
+    size_t Restored = Engine.restoreSessions(&Skipped);
+    if (Cut < HeaderEnd) {
+      EXPECT_EQ(Restored, 0u);
+      EXPECT_EQ(Skipped, 1u);
+      continue;
+    }
+    ASSERT_EQ(Restored, 1u);
+    size_t Complete =
+        size_t(std::count(Journal.begin(), Journal.begin() + Cut, '\n')) - 1;
+    SessionInfo Info;
+    std::string Err;
+    ASSERT_TRUE(Engine.sessionInfo("s", Info, Err)) << Err;
+    ASSERT_EQ(Info.Observes, Complete);
+    EXPECT_EQ(nextFingerprint(Engine, "s"), Live[Complete]);
+  }
+  std::filesystem::remove_all(Dir);
+}
+
+// A retried append can leave a byte-identical repeat of a record and a
+// sealed torn remnant; restore skips both, and the next append seals a
+// torn tail instead of gluing onto it.
+TEST(ServeJournalTest, SealedDuplicatesAndRemnantsAreSkipped) {
+  const size_t Rounds = 3;
+  std::string Reference;
+  {
+    ServeEngine Engine(engineOptions("", 0));
+    std::string Err;
+    ASSERT_TRUE(Engine.openSession("s", smallRecordSpec(), Err)) << Err;
+    Client C("atax");
+    std::vector<std::string> Seen;
+    drain(Engine, "s", C, Seen, Rounds);
+    observeFixed(Engine, "s");
+    Reference = nextFingerprint(Engine, "s");
+  }
+
+  std::string Dir = freshStateDir("duplicates");
+  const std::string Path = Dir + "/sess-s.alsv";
+  {
+    ServeEngine Engine(engineOptions(Dir, 0));
+    std::string Err;
+    ASSERT_TRUE(Engine.openSession("s", smallRecordSpec(), Err)) << Err;
+    Client C("atax");
+    std::vector<std::string> Seen;
+    drain(Engine, "s", C, Seen, Rounds);
+  }
+  // Repeat record n=1 behind a sealed remnant, and leave a torn tail.
+  std::string Journal = readFile(Path);
+  size_t Second = Journal.find('\n', Journal.find('\n') + 1) + 1;
+  size_t Third = Journal.find('\n', Second) + 1;
+  std::string Record1 = Journal.substr(Second, Third - Second);
+  ASSERT_EQ(Record1.rfind("{\"n\":1,", 0), 0u) << Record1;
+  Journal.insert(Third, "{\"n\":2,\"co\n" + Record1);
+  writeFile(Path, Journal + "{\"n\":3,\"costs\":[0.");
+
+  {
+    ServeEngine Engine(engineOptions(Dir, 0));
+    ASSERT_EQ(Engine.restoreSessions(), 1u);
+    SessionInfo Info;
+    std::string Err;
+    ASSERT_TRUE(Engine.sessionInfo("s", Info, Err)) << Err;
+    EXPECT_EQ(Info.Observes, Rounds);
+    observeFixed(Engine, "s");
+  }
+  ServeEngine Engine(engineOptions(Dir, 0));
+  ASSERT_EQ(Engine.restoreSessions(), 1u);
+  EXPECT_EQ(nextFingerprint(Engine, "s"), Reference);
+  std::filesystem::remove_all(Dir);
+}
+
+// Every spec field survives the journal bit-exactly: policy doubles whose
+// shortest decimal form is long, and a seed above 2^53 that a JSON
+// number would round.  An out-of-sequence record cuts the replay; the
+// next checkpoint rewrites the journal from memory, header first, so the
+// rewritten header shows what restore read back.
+TEST(ServeJournalTest, ExactSpecFieldsRestoreTheIdenticalStream) {
+  SessionSpec Spec = tinySpec();
+  Spec.Seed = (uint64_t(1) << 63) + 12345;
+  Spec.DatasetSeed = ~uint64_t(0) - 7;
+  Spec.Query.Kind = QueryPolicyKind::CostRange;
+  Spec.Query.Mellowness = 0.1234567890123;
+  Spec.Query.RangeC1 = 0.1 + 1e-15;
+
+  std::vector<std::string> Reference;
+  {
+    ServeEngine Engine(engineOptions("", 0));
+    std::string Err;
+    ASSERT_TRUE(Engine.openSession("ref", Spec, Err)) << Err;
+    Client C("atax");
+    drain(Engine, "ref", C, Reference);
+  }
+  std::string Dir = freshStateDir("exact_spec");
+  const std::string Path = Dir + "/sess-s.alsv";
+  Client C("atax");
+  std::vector<std::string> Seen;
+  {
+    ServeEngine Engine(engineOptions(Dir, 0));
+    std::string Err;
+    ASSERT_TRUE(Engine.openSession("s", Spec, Err)) << Err;
+    drain(Engine, "s", C, Seen, 3);
+  }
+  const std::string Journal = readFile(Path);
+  const std::string Header = Journal.substr(0, Journal.find('\n') + 1);
+  EXPECT_NE(Header.find("\"seed\":\"9223372036854788153\""), std::string::npos)
+      << Header;
+  EXPECT_NE(Header.find("\"mellowness\":0.1234567890123,"), std::string::npos)
+      << Header;
+  writeFile(Path, Journal + "{\"n\":7,\"costs\":[1]}\n");
+  {
+    ServeEngine Engine(engineOptions(Dir, 0));
+    ASSERT_EQ(Engine.restoreSessions(), 1u);
+    SessionInfo Info;
+    std::string Err;
+    ASSERT_TRUE(Engine.sessionInfo("s", Info, Err)) << Err;
+    EXPECT_EQ(Info.Observes, 3u);
+    EXPECT_TRUE(Info.SnapshotDirty); // the cut journal awaits its rewrite
+    drain(Engine, "s", C, Seen);
+  }
+  EXPECT_EQ(Seen, Reference);
+  const std::string Rewritten = readFile(Path);
+  EXPECT_EQ(Rewritten.substr(0, Header.size()), Header);
+  EXPECT_EQ(Rewritten.find("{\"n\":7,\"costs\":[1]}"), std::string::npos);
+  ServeEngine Engine(engineOptions(Dir, 0));
+  ASSERT_EQ(Engine.restoreSessions(), 1u);
+  SessionInfo Info;
+  std::string Err;
+  ASSERT_TRUE(Engine.sessionInfo("s", Info, Err)) << Err;
+  EXPECT_TRUE(Info.Done);
   std::filesystem::remove_all(Dir);
 }
 
@@ -571,6 +781,33 @@ TEST(ServeWireTest, ErrorsAndShutdown) {
   bool Shutdown = false;
   EXPECT_TRUE(replyOk(roundTrip(Engine, "{\"op\":\"shutdown\"}", &Shutdown)));
   EXPECT_TRUE(Shutdown);
+}
+
+// Spec errors name the accepted token forms, byte for byte; the token
+// codec behind them is the campaign's (exp/Campaign.h).
+TEST(ServeWireTest, SpecTokenErrorsAreExact) {
+  ServeEngine Engine(engineOptions("", 0));
+  const std::pair<const char *, const char *> Cases[] = {
+      {"\"model\":\"svm\"", "unknown model 'svm' (want dynatree|gp|gp_sor)"},
+      {"\"scorer\":\"ucb\"", "unknown scorer 'ucb' (want alc|alm|random)"},
+      {"\"plan\":\"seq:5x\"",
+       "unknown plan 'seq:5x' (want seq:<cap>|fixed:<obs>)"},
+      {"\"policy\":\"maybe\"",
+       "unknown policy 'maybe' (want always|alm[:abs[:rel]]|cost[:c0[:c1]])"},
+      {"\"model\":3", "field 'model' must be a string"},
+  };
+  for (const auto &[Field, Want] : Cases) {
+    std::string Reply;
+    handleRequestLine(Engine,
+                      std::string("{\"op\":\"open\",\"session\":\"x\","
+                                  "\"spec\":{") +
+                          Field + "}}",
+                      Reply);
+    EXPECT_EQ(Reply, errorReply(Want));
+  }
+  EXPECT_EQ(errorReply("a \"quoted\" word"),
+            "{\"ok\":false,\"error\":\"a \\\"quoted\\\" word\"}");
+  EXPECT_EQ(Engine.sessionCount(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

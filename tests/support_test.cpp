@@ -5,6 +5,8 @@
 #include "support/Env.h"
 #include "support/FlatRows.h"
 #include "support/Format.h"
+#include "support/FailPoint.h"
+#include "support/Journal.h"
 #include "support/Json.h"
 #include "support/Rng.h"
 #include "support/Serialize.h"
@@ -18,6 +20,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <set>
 
 using namespace alic;
@@ -444,32 +448,24 @@ TEST(RowRefTest, ViewsVectorsWithoutCopying) {
 
 TEST(SerializeTest, ScalarRoundTrip) {
   ByteWriter W;
-  W.writeU8(0xab);
   W.writeU16(0xbeef);
   W.writeU32(0xdeadbeefu);
   W.writeU64(0x0123456789abcdefull);
   W.writeDouble(-1.5);
-  W.writeString("campaign");
 
   ByteReader R(W.bytes());
-  uint8_t U8;
   uint16_t U16;
   uint32_t U32;
   uint64_t U64;
   double D;
-  std::string S;
-  EXPECT_TRUE(R.readU8(U8));
   EXPECT_TRUE(R.readU16(U16));
   EXPECT_TRUE(R.readU32(U32));
   EXPECT_TRUE(R.readU64(U64));
   EXPECT_TRUE(R.readDouble(D));
-  EXPECT_TRUE(R.readString(S));
-  EXPECT_EQ(U8, 0xab);
   EXPECT_EQ(U16, 0xbeef);
   EXPECT_EQ(U32, 0xdeadbeefu);
   EXPECT_EQ(U64, 0x0123456789abcdefull);
   EXPECT_DOUBLE_EQ(D, -1.5);
-  EXPECT_EQ(S, "campaign");
   EXPECT_TRUE(R.ok());
   EXPECT_TRUE(R.atEnd());
 }
@@ -519,8 +515,8 @@ TEST(SerializeTest, TruncationIsStickyNotFatal) {
   uint64_t Value;
   EXPECT_FALSE(R.readU64(Value));
   EXPECT_FALSE(R.ok());
-  uint8_t Byte;
-  EXPECT_FALSE(R.readU8(Byte)); // sticky: later reads fail too
+  uint16_t Small;
+  EXPECT_FALSE(R.readU16(Small)); // sticky: later reads fail too
 }
 
 TEST(SerializeTest, HugeLengthPrefixIsRejected) {
@@ -536,20 +532,124 @@ TEST(SerializeTest, HugeLengthPrefixIsRejected) {
 TEST(SerializeTest, AtomicFileRoundTrip) {
   std::string Path = ::testing::TempDir() + "alic_serialize_test.bin";
   ByteWriter W;
-  W.writeString("hello");
+  W.writeU64(0x68656c6c6full);
   W.writeDouble(2.5);
-  ASSERT_TRUE(W.writeFileAtomic(Path));
+  ASSERT_TRUE(W.writeFileDurable(Path).ok());
 
   ByteReader R({});
   ASSERT_TRUE(ByteReader::fromFile(Path, R));
-  std::string S;
+  uint64_t U64;
   double D;
-  EXPECT_TRUE(R.readString(S));
+  EXPECT_TRUE(R.readU64(U64));
   EXPECT_TRUE(R.readDouble(D));
-  EXPECT_EQ(S, "hello");
+  EXPECT_EQ(U64, 0x68656c6c6full);
   EXPECT_DOUBLE_EQ(D, 2.5);
   EXPECT_TRUE(R.atEnd());
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Journal: seal, retry, read
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A fresh journal path under the gtest temp root (any old file removed).
+std::string journalPath(const std::string &Name) {
+  std::string Path = ::testing::TempDir() + "alic_journal_" + Name;
+  std::remove(Path.c_str());
+  return Path;
+}
+
+std::string fileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+void writeBytes(const std::string &Path, const std::string &Bytes) {
+  std::ofstream(Path, std::ios::binary) << Bytes;
+}
+
+std::vector<std::string> records(const std::string &Path,
+                                 bool *TornTail = nullptr) {
+  std::vector<std::string> Out;
+  EXPECT_TRUE(readJournal(Path, Out, TornTail).ok());
+  return Out;
+}
+
+} // namespace
+
+TEST(JournalTest, AppendsCreateTheFileAndReadBackInOrder) {
+  std::string Path = journalPath("order");
+  ASSERT_TRUE(appendJournal(Path, "a\n", "fp.journal.append").ok());
+  ASSERT_TRUE(appendJournal(Path, "b\nc\n", "fp.journal.append").ok());
+  ASSERT_TRUE(appendJournal(Path, "", "fp.journal.append").ok());
+  EXPECT_EQ(fileBytes(Path), "a\nb\nc\n");
+  bool Torn = true;
+  EXPECT_EQ(records(Path, &Torn), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_FALSE(Torn);
+}
+
+TEST(JournalTest, ReaderCountsOnlyTerminatedNonEmptyRecords) {
+  std::string Path = journalPath("reader");
+  writeBytes(Path, "a\n\nb\npartial");
+  bool Torn = false;
+  EXPECT_EQ(records(Path, &Torn), (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(Torn);
+
+  std::vector<std::string> Out{"stale"};
+  EXPECT_FALSE(readJournal(journalPath("missing"), Out).ok());
+  EXPECT_TRUE(Out.empty());
+}
+
+TEST(JournalTest, AppendSealsATornTailBeforeItsRecord) {
+  // A crash left half a record: the next append must not glue onto it.
+  std::string Path = journalPath("seal");
+  writeBytes(Path, "x\npart");
+  ASSERT_TRUE(appendJournal(Path, "y\n", "fp.journal.append").ok());
+  EXPECT_EQ(fileBytes(Path), "x\npart\ny\n");
+  EXPECT_EQ(records(Path), (std::vector<std::string>{"x", "part", "y"}));
+}
+
+TEST(JournalTest, RetryAfterATornAttemptSealsItsRemnant) {
+  std::string Path = journalPath("torn");
+  FailSpec Torn;
+  Torn.Mode = FailMode::Torn;
+  Torn.TornBytes = 3;
+  Torn.Count = 1; // the first attempt tears, the retry succeeds
+  armFailPoint("fp.journal.append", Torn);
+  Status St = appendJournal(Path, "hello\n", "fp.journal.append");
+  EXPECT_EQ(failPointHits("fp.journal.append"), 2u);
+  disarmAllFailPoints();
+  ASSERT_TRUE(St.ok()) << St.message();
+  EXPECT_EQ(fileBytes(Path), "hel\nhello\n");
+}
+
+TEST(JournalTest, SyncFailureRetryLeavesAByteIdenticalRepeat) {
+  // The bytes landed but the fsync failed: the retry writes them again.
+  std::string Path = journalPath("sync");
+  FailSpec Once;
+  Once.Count = 1;
+  armFailPoint("fp.journal.sync", Once);
+  Status St =
+      appendJournal(Path, "r\n", "fp.journal.append", "fp.journal.sync");
+  disarmAllFailPoints();
+  ASSERT_TRUE(St.ok()) << St.message();
+  EXPECT_EQ(fileBytes(Path), "r\nr\n");
+}
+
+TEST(JournalTest, PersistentFailureGivesUpAfterFourAttempts) {
+  std::string Path = journalPath("enospc");
+  FailSpec Full;
+  Full.Errno = ENOSPC;
+  armFailPoint("fp.journal.append", Full);
+  Status St = appendJournal(Path, "lost\n", "fp.journal.append");
+  EXPECT_EQ(failPointHits("fp.journal.append"), 4u);
+  disarmAllFailPoints();
+  EXPECT_FALSE(St.ok());
+  EXPECT_EQ(St.errnoValue(), ENOSPC);
+  EXPECT_TRUE(records(Path).empty());
 }
 
 //===----------------------------------------------------------------------===//
