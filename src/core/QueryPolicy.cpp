@@ -130,7 +130,8 @@ int splitNums(const std::string &Token, std::string &Name, double *Nums,
                                                    : Next - Colon - 1);
     char *End = nullptr;
     double V = std::strtod(Part.c_str(), &End);
-    if (Count >= MaxNums || Part.empty() || End != Part.c_str() + Part.size())
+    if (Count >= MaxNums || Part.empty() ||
+        End != Part.c_str() + Part.size() || !std::isfinite(V))
       return -1;
     Nums[Count++] = V;
     Colon = Next;

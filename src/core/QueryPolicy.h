@@ -94,8 +94,8 @@ struct QueryPolicyConfig {
 
 /// Parses a policy token into \p Out.  Accepted forms: `always`,
 /// `alm[:ABS[:REL]]`, `cost[:C0[:C1]]` (missing numbers keep the
-/// QueryPolicyConfig defaults).  Returns false, leaving \p Out
-/// untouched, on anything else.
+/// QueryPolicyConfig defaults; `inf` and `nan` are refused).  Returns
+/// false, leaving \p Out untouched, on anything else.
 bool parseQueryPolicy(const std::string &Token, QueryPolicyConfig &Out);
 
 /// Canonical token for \p Cfg: `always`, `alm:ABS:REL`, or `cost:C0:C1`.

@@ -145,6 +145,15 @@ bool parseEventRecord(const std::string &Line, size_t &N,
   return true;
 }
 
+/// Raw bits of a double, for cache keys (0.75 and 0.7500001 must not
+/// collide into one key through decimal formatting).
+uint64_t doubleBits(double Value) {
+  uint64_t Bits;
+  static_assert(sizeof(Bits) == sizeof(Value), "double is not 64-bit");
+  __builtin_memcpy(&Bits, &Value, sizeof(Bits));
+  return Bits;
+}
+
 } // namespace
 
 struct ServeEngine::Session {
@@ -157,9 +166,9 @@ struct ServeEngine::Session {
   std::vector<std::vector<double>> Events;
   double TotalCostSeconds = 0.0;
   /// Records durably in the journal: the header, then one per event in
-  /// order.  0 means the journal must be started afresh from the header.
-  /// A failed append leaves it behind, so the next checkpoint retries
-  /// every pending record (degrade, never abort).
+  /// order.  0 means the header has not landed yet, so the journal is
+  /// started afresh.  A failed append leaves it behind, so the next
+  /// checkpoint retries every pending record (degrade, never abort).
   size_t Durable = 0;
   /// Set (under M) by closeSession.  An in-flight call that resolved the
   /// session just before it left the table sees this after locking M and
@@ -202,10 +211,9 @@ std::string ServeEngine::journalPath(const std::string &Id) const {
 std::shared_ptr<const Dataset>
 ServeEngine::datasetFor(const SessionSpec &Spec) {
   // Keyed on everything buildDataset consumes; called under EngineMutex.
-  // The shortest round-trip rendering keeps distinct fractions distinct.
   const ExperimentScale &S = Spec.Scale;
   std::string Key = Spec.Benchmark + "|" + std::to_string(S.NumConfigs) +
-                    "|" + formatJsonDouble(S.TrainFraction) + "|" +
+                    "|" + std::to_string(doubleBits(S.TrainFraction)) + "|" +
                     std::to_string(S.MeanObservations) + "|" +
                     std::to_string(Spec.DatasetSeed);
   auto It = Datasets.find(Key);
@@ -254,8 +262,8 @@ void ServeEngine::checkpoint(const std::string &Id, Session &S) {
     return;
   std::string Records;
   if (S.Durable == 0) {
-    // A fresh journal: whatever sits at the path (a torn header, a
-    // journal restore skipped or cut short) is replaced, never extended.
+    // A fresh journal: whatever sits at the path (a failed header, a
+    // journal restore skipped) is replaced, never extended.
     std::error_code Ec;
     std::filesystem::remove(journalPath(Id), Ec);
     Records = headerRecord(Id, S.Spec);
@@ -454,12 +462,18 @@ size_t ServeEngine::restoreSessions(size_t *Skipped) {
     std::vector<std::string> Records;
     std::string Id;
     SessionSpec Spec;
-    // The header names the session; it must match the file it sits in,
-    // which is where the session's later records will be appended.
-    if (ALIC_FAILPOINT("snapshot.restore").Fire || // injected unreadable
-        !readJournal(Opts.StateDir + "/" + Name, Records).ok() ||
-        Records.empty() || !parseHeaderRecord(Records[0], Id, Spec) ||
-        !validId(Id) || Name != "sess-" + Id + ".alsv") {
+    bool Readable = !ALIC_FAILPOINT("snapshot.restore").Fire && // injected
+                    readJournal(Opts.StateDir + "/" + Name, Records).ok();
+    // The first record that parses as a header names the session: a
+    // header append that tore and was retried leaves its sealed remnant
+    // in front.  The id must match the file the header sits in, which is
+    // where the session's later records will be appended.
+    size_t Header = 0;
+    while (Readable && Header != Records.size() &&
+           !parseHeaderRecord(Records[Header], Id, Spec))
+      ++Header;
+    if (Header == Records.size() || !validId(Id) ||
+        Name != "sess-" + Id + ".alsv") {
       ++Bad;
       continue;
     }
@@ -473,31 +487,25 @@ size_t ServeEngine::restoreSessions(size_t *Skipped) {
     }
     // Replay: state is a pure function of (spec, cost sequence), so
     // driving the recorded costs through the deterministic loop lands
-    // exactly where the previous process stood.  The longest valid
-    // prefix is kept: a torn tail never reaches here, a sealed remnant is
-    // skipped, and so is a byte-identical repeat of an applied record (a
-    // retried append whose first write landed).
-    bool Cut = false;
-    for (size_t R = 1; R != Records.size(); ++R) {
+    // exactly where the previous process stood.  A record applies only
+    // as the next observe in sequence; every other line is skipped: a
+    // sealed remnant or a repeated header, a repeat of an applied record
+    // (a retried append whose first write landed), and a record the
+    // learner rejects or any record after the gap it leaves.  A torn tail
+    // never reaches here.  Replaying a prefix always lands in the same
+    // state, so records appended after this restore continue from it.
+    for (size_t R = Header + 1; R != Records.size(); ++R) {
       size_t N = 0;
       std::vector<double> Costs;
-      if (!parseEventRecord(Records[R], N, Costs) ||
-          (N < S->Events.size() &&
-           Records[R] + "\n" == eventRecord(N, S->Events[N])))
+      if (!parseEventRecord(Records[R], N, Costs) || N != S->Events.size() ||
+          S->Learner->suggest().Phase == SuggestPhase::Done ||
+          !S->Learner->observe(S->Learner->suggest().Ticket, Costs))
         continue;
-      Cut = N != S->Events.size() ||
-            S->Learner->suggest().Phase == SuggestPhase::Done ||
-            !S->Learner->observe(S->Learner->suggest().Ticket, Costs);
-      if (Cut)
-        break;
       for (double C : Costs)
         S->TotalCostSeconds += C;
       S->Events.push_back(std::move(Costs));
     }
-    // A journal cut short by a bad record is rewritten from memory at the
-    // next checkpoint, so records appended later are never stranded
-    // behind it.
-    S->Durable = Cut ? 0 : S->Events.size() + 1;
+    S->Durable = S->Events.size() + 1;
     Sessions.emplace(Id, std::move(S));
     ++Restored;
   }

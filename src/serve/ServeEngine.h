@@ -181,12 +181,10 @@ public:
 
   /// Loads every `sess-*.alsv` journal under StateDir and replays each
   /// observation log through a fresh learner, reconstructing all session
-  /// states bit-identically (see file comment).  Replay keeps the
-  /// longest valid prefix of a session's records: unparsable lines (a
-  /// torn record sealed by a later append) and byte-identical repeats (a
-  /// retried append) are skipped, and the first out-of-sequence or
-  /// rejected record ends the replay.  A journal whose header is missing
-  /// or bad is skipped — a crash cannot take the daemon down — and
+  /// states bit-identically (see file comment).  A record applies only
+  /// as the next observe in sequence; replay skips every other line (a
+  /// sealed remnant, a repeat, a record after a gap).  A journal without
+  /// a header is skipped — a crash cannot take the daemon down — and
   /// counted in \p Skipped.  Returns the number of sessions restored.
   /// Call once, before serving.
   size_t restoreSessions(size_t *Skipped = nullptr);

@@ -154,62 +154,99 @@ std::string suggestionReply(const Suggestion &S) {
   return Reply;
 }
 
-/// The reply to one request object; a `shutdown` op sets \p Shutdown.
-std::string dispatch(ServeEngine &Engine, const JsonValue &Root,
-                     bool &Shutdown) {
+} // namespace
+
+bool alic::handleRequestLine(ServeEngine &Engine, const std::string &Line,
+                             std::string &Reply) {
+  JsonValue Root;
+  if (!parseJson(Line.c_str(), Root) || Root.K != JsonValue::Kind::Object) {
+    Reply = errorReply("malformed request (want one JSON object per line)");
+    return false;
+  }
   std::string Op;
-  if (!jsonStringField(Root, "op", Op))
-    return errorReply("missing string field 'op'");
-  if (Op == "ping")
-    return "{\"ok\":true,\"sessions\":" +
-           std::to_string(Engine.sessionCount()) + "}";
-  if (Op == "shutdown") {
-    Shutdown = true;
-    return "{\"ok\":true,\"bye\":true}";
+  if (!jsonStringField(Root, "op", Op)) {
+    Reply = errorReply("missing string field 'op'");
+    return false;
   }
 
-  std::string Id, Err;
-  if (!jsonStringField(Root, "session", Id))
-    return errorReply("missing string field 'session'");
+  if (Op == "ping") {
+    Reply = "{\"ok\":true,\"sessions\":" +
+            std::to_string(Engine.sessionCount()) + "}";
+    return false;
+  }
+  if (Op == "shutdown") {
+    Reply = "{\"ok\":true,\"bye\":true}";
+    return true;
+  }
+
+  std::string Id;
+  if (!jsonStringField(Root, "session", Id)) {
+    Reply = errorReply("missing string field 'session'");
+    return false;
+  }
+  std::string Err;
 
   if (Op == "open") {
     SessionSpec Spec;
-    if (!parseSpec(Root, Spec, Err) || !Engine.openSession(Id, Spec, Err))
-      return errorReply(Err);
-    return "{\"ok\":true,\"session\":\"" + jsonEscape(Id) + "\"}";
+    if (!parseSpec(Root, Spec, Err)) {
+      Reply = errorReply(Err);
+      return false;
+    }
+    if (!Engine.openSession(Id, Spec, Err)) {
+      Reply = errorReply(Err);
+      return false;
+    }
+    Reply = "{\"ok\":true,\"session\":\"" + jsonEscape(Id) + "\"}";
+    return false;
   }
 
   if (Op == "suggest") {
     Suggestion S;
-    return Engine.suggest(Id, S, Err) ? suggestionReply(S) : errorReply(Err);
+    if (!Engine.suggest(Id, S, Err)) {
+      Reply = errorReply(Err);
+      return false;
+    }
+    Reply = suggestionReply(S);
+    return false;
   }
 
   if (Op == "observe") {
     double TicketNumber = -1.0;
-    if (!jsonNumberField(Root, "ticket", TicketNumber) || TicketNumber < 0)
-      return errorReply("missing numeric field 'ticket'");
+    if (!jsonNumberField(Root, "ticket", TicketNumber) || TicketNumber < 0) {
+      Reply = errorReply("missing numeric field 'ticket'");
+      return false;
+    }
     const JsonValue *CostsField = Root.field("costs");
-    if (!CostsField || CostsField->K != JsonValue::Kind::Array)
-      return errorReply("missing array field 'costs'");
+    if (!CostsField || CostsField->K != JsonValue::Kind::Array) {
+      Reply = errorReply("missing array field 'costs'");
+      return false;
+    }
     std::vector<double> Costs;
     Costs.reserve(CostsField->Items.size());
     for (const JsonValue &Item : CostsField->Items) {
-      if (Item.K != JsonValue::Kind::Number)
-        return errorReply("field 'costs' must hold numbers only");
+      if (Item.K != JsonValue::Kind::Number) {
+        Reply = errorReply("field 'costs' must hold numbers only");
+        return false;
+      }
       Costs.push_back(Item.Number);
     }
-    if (!Engine.observe(Id, uint64_t(TicketNumber), Costs, Err))
-      return errorReply(Err);
+    if (!Engine.observe(Id, uint64_t(TicketNumber), Costs, Err)) {
+      Reply = errorReply(Err);
+      return false;
+    }
     SessionInfo Info;
     size_t Observes = Engine.sessionInfo(Id, Info, Err) ? Info.Observes : 0;
-    return "{\"ok\":true,\"observes\":" + std::to_string(Observes) + "}";
+    Reply = "{\"ok\":true,\"observes\":" + std::to_string(Observes) + "}";
+    return false;
   }
 
   if (Op == "info") {
     SessionInfo Info;
-    if (!Engine.sessionInfo(Id, Info, Err))
-      return errorReply(Err);
-    std::string Reply = "{\"ok\":true,\"phase\":\"";
+    if (!Engine.sessionInfo(Id, Info, Err)) {
+      Reply = errorReply(Err);
+      return false;
+    }
+    Reply = "{\"ok\":true,\"phase\":\"";
     Reply += phaseToken(Info.Phase);
     Reply += "\",\"iterations\":" + std::to_string(Info.Stats.Iterations);
     Reply += ",\"distinct\":" + std::to_string(Info.Stats.DistinctExamples);
@@ -225,32 +262,29 @@ std::string dispatch(ServeEngine &Engine, const JsonValue &Root,
     Reply += std::string(",\"done\":") + (Info.Done ? "true" : "false");
     Reply += std::string(",\"snapshot_dirty\":") +
              (Info.SnapshotDirty ? "true" : "false");
-    return Reply + "}";
+    Reply += "}";
+    return false;
   }
 
   if (Op == "eval") {
     double Rmse = 0.0;
-    if (!Engine.evaluate(Id, Rmse, Err))
-      return errorReply(Err);
-    return "{\"ok\":true,\"rmse\":" + formatJsonDouble(Rmse) + "}";
+    if (!Engine.evaluate(Id, Rmse, Err)) {
+      Reply = errorReply(Err);
+      return false;
+    }
+    Reply = "{\"ok\":true,\"rmse\":" + formatJsonDouble(Rmse) + "}";
+    return false;
   }
 
-  if (Op == "close")
-    return Engine.closeSession(Id) ? "{\"ok\":true}"
-                                   : errorReply("unknown session '" + Id + "'");
+  if (Op == "close") {
+    if (!Engine.closeSession(Id)) {
+      Reply = errorReply("unknown session '" + Id + "'");
+      return false;
+    }
+    Reply = "{\"ok\":true}";
+    return false;
+  }
 
-  return errorReply("unknown op '" + Op + "'");
-}
-
-} // namespace
-
-bool alic::handleRequestLine(ServeEngine &Engine, const std::string &Line,
-                             std::string &Reply) {
-  JsonValue Root;
-  bool Shutdown = false;
-  if (!parseJson(Line.c_str(), Root) || Root.K != JsonValue::Kind::Object)
-    Reply = errorReply("malformed request (want one JSON object per line)");
-  else
-    Reply = dispatch(Engine, Root, Shutdown);
-  return Shutdown;
+  Reply = errorReply("unknown op '" + Op + "'");
+  return false;
 }

@@ -47,7 +47,8 @@ TEST(QueryPolicyTest, ParseDefaultsAndPartials) {
 TEST(QueryPolicyTest, ParseRejectsMalformedTokens) {
   QueryPolicyConfig Cfg;
   for (const char *Bad : {"", "sometimes", "always:1", "alm:1:2:3",
-                          "cost:x", "cost:", "alm:0.1:"}) {
+                          "cost:x", "cost:", "alm:0.1:", "alm:inf",
+                          "cost:nan", "alm:1e999"}) {
     EXPECT_FALSE(parseQueryPolicy(Bad, Cfg)) << "accepted '" << Bad << "'";
   }
 }
