@@ -212,97 +212,82 @@ std::vector<CampaignCell> alic::expandCells(const CampaignSpec &Spec) {
 
 namespace {
 
-std::string cellLine(const std::string &Key, CampaignCell::Kind Kind,
-                     const CellResult &Result) {
-  std::string Line = "{\"cell\":\"" + Key + "\"";
+/// One learning-curve point as [iteration, cumulative cost, rmse], the
+/// form of both the ledger's full curves and the aggregate's decimated
+/// ones.
+void writeCurvePoint(JsonWriter &W, const CurvePoint &Point) {
+  W.beginArray()
+      .integer(Point.Iteration)
+      .number(Point.CostSeconds)
+      .number(Point.Rmse)
+      .endArray();
+}
+
+} // namespace
+
+std::string alic::cellLine(const std::string &Key, CampaignCell::Kind Kind,
+                           const CellResult &Result) {
+  JsonWriter W;
+  W.beginObject().key("cell").string(Key);
   if (Kind == CampaignCell::Kind::Noise) {
-    Line += ",\"noise\":[";
-    for (size_t I = 0; I != Result.NoiseStats.size(); ++I) {
-      if (I)
-        Line += ",";
-      Line += formatJsonDouble(Result.NoiseStats[I]);
-    }
-    Line += "]}";
-    return Line + "\n";
+    W.key("noise").numbers(Result.NoiseStats);
+    return W.endObject().take() + "\n";
   }
   const RunResult &R = Result.Run;
-  Line += formatString(",\"iterations\":%zu,\"distinct\":%zu,"
-                       "\"revisits\":%zu,\"observations\":%zu",
-                       R.Stats.Iterations, R.Stats.DistinctExamples,
-                       R.Stats.Revisits, R.Stats.Observations);
+  W.key("iterations").integer(R.Stats.Iterations);
+  W.key("distinct").integer(R.Stats.DistinctExamples);
+  W.key("revisits").integer(R.Stats.Revisits);
+  W.key("observations").integer(R.Stats.Observations);
   // Only policy cells skip; omitting the zero keeps pre-policy ledger
   // lines (and Always cells' fresh lines) byte-identical.
   if (R.Stats.Skips)
-    Line += formatString(",\"skips\":%zu", R.Stats.Skips);
-  Line += ",\"final_rmse\":" + formatJsonDouble(R.FinalRmse);
-  Line += ",\"total_cost_seconds\":" + formatJsonDouble(R.TotalCostSeconds);
-  Line += ",\"curve\":[";
-  for (size_t I = 0; I != R.Curve.size(); ++I) {
-    const CurvePoint &Point = R.Curve[I];
-    if (I)
-      Line += ",";
-    Line += formatString("[%zu,", Point.Iteration);
-    Line += formatJsonDouble(Point.CostSeconds) + ",";
-    Line += formatJsonDouble(Point.Rmse) + "]";
-  }
-  Line += "]}";
-  return Line + "\n";
+    W.key("skips").integer(R.Stats.Skips);
+  W.key("final_rmse").number(R.FinalRmse);
+  W.key("total_cost_seconds").number(R.TotalCostSeconds);
+  W.key("curve").beginArray();
+  for (const CurvePoint &Point : R.Curve)
+    writeCurvePoint(W, Point);
+  W.endArray();
+  return W.endObject().take() + "\n";
 }
 
-bool parseCellLine(const std::string &Line, std::string &Key,
-                   CellResult &Result) {
+bool alic::parseCellLine(const std::string &Line, std::string &Key,
+                         CellResult &Result) {
   JsonValue Root;
-  if (!parseJson(Line.c_str(), Root) || Root.K != JsonValue::Kind::Object)
+  if (!parseJson(Line.c_str(), Root))
     return false;
-  const JsonValue *Cell = Root.field("cell");
-  if (!Cell || Cell->K != JsonValue::Kind::String)
-    return false;
-  Key = Cell->Str;
-
-  if (const JsonValue *Noise = Root.field("noise")) {
-    if (Noise->K != JsonValue::Kind::Array || Noise->Items.size() != 9)
-      return false;
-    Result.NoiseStats.clear();
-    for (const JsonValue &Item : Noise->Items) {
-      if (Item.K != JsonValue::Kind::Number)
-        return false;
-      Result.NoiseStats.push_back(Item.Number);
-    }
-    return true;
+  JsonReader Fields(Root);
+  if (Root.field("noise")) {
+    Fields.string("cell", Key).numbers("noise", Result.NoiseStats);
+    return Fields.ok() && Result.NoiseStats.size() == 9;
   }
 
-  double Iterations, Distinct, Revisits, Observations;
   RunResult &R = Result.Run;
-  if (!jsonNumberField(Root, "iterations", Iterations) ||
-      !jsonNumberField(Root, "distinct", Distinct) ||
-      !jsonNumberField(Root, "revisits", Revisits) ||
-      !jsonNumberField(Root, "observations", Observations) ||
-      !jsonNumberField(Root, "final_rmse", R.FinalRmse) ||
-      !jsonNumberField(Root, "total_cost_seconds", R.TotalCostSeconds))
-    return false;
-  R.Stats.Iterations = size_t(Iterations);
-  R.Stats.DistinctExamples = size_t(Distinct);
-  R.Stats.Revisits = size_t(Revisits);
-  R.Stats.Observations = size_t(Observations);
-  double Skips = 0; // optional: absent in pre-policy ledgers and 0-skip cells
-  if (Root.field("skips") && !jsonNumberField(Root, "skips", Skips))
-    return false;
-  R.Stats.Skips = size_t(Skips);
+  R.Stats.Skips = 0; // absent in pre-policy ledgers and 0-skip cells
+  Fields.string("cell", Key);
+  Fields.integer("iterations", R.Stats.Iterations);
+  Fields.integer("distinct", R.Stats.DistinctExamples);
+  Fields.integer("revisits", R.Stats.Revisits);
+  Fields.integer("observations", R.Stats.Observations);
+  Fields.integer("skips", R.Stats.Skips, JsonReader::Optional);
+  Fields.number("final_rmse", R.FinalRmse);
+  Fields.number("total_cost_seconds", R.TotalCostSeconds);
   const JsonValue *Curve = Root.field("curve");
-  if (!Curve || Curve->K != JsonValue::Kind::Array || Curve->Items.empty())
+  if (!Fields.ok() || !Curve)
     return false;
   R.Curve.clear();
+  std::vector<double> Point; // [iteration, cumulative cost, rmse]
+  uint64_t Iteration = 0;
   for (const JsonValue &Item : Curve->Items) {
-    if (Item.K != JsonValue::Kind::Array || Item.Items.size() != 3)
+    if (!jsonNumbers(Item, Point) || Point.size() != 3 ||
+        !jsonInteger(Item.Items[0], SIZE_MAX, Iteration))
       return false;
-    for (const JsonValue &Coord : Item.Items)
-      if (Coord.K != JsonValue::Kind::Number)
-        return false;
-    R.Curve.push_back({size_t(Item.Items[0].Number), Item.Items[1].Number,
-                       Item.Items[2].Number});
+    R.Curve.push_back({size_t(Iteration), Point[1], Point[2]});
   }
-  return true;
+  return !R.Curve.empty(); // also refuses a curve that is not an array
 }
+
+namespace {
 
 /// Reads the ledgers at \p Paths, skipping unparsable lines (a crash can
 /// leave one torn trailing record; its cell simply reruns on resume).
@@ -934,24 +919,14 @@ namespace {
 /// final one) so the aggregate stays reviewable; renderers that need full
 /// curves read CampaignResult directly.
 void appendCurveJson(std::string &Json, const std::vector<CurvePoint> &Curve) {
-  Json += "[";
+  JsonWriter W;
+  W.beginArray();
   size_t Stride = std::max<size_t>(1, Curve.size() / 32);
-  bool First = true;
-  for (size_t I = 0; I < Curve.size(); I += Stride) {
-    if (!First)
-      Json += ",";
-    First = false;
-    Json += formatString("[%zu,", Curve[I].Iteration);
-    Json += formatJsonDouble(Curve[I].CostSeconds) + ",";
-    Json += formatJsonDouble(Curve[I].Rmse) + "]";
-  }
-  if (!Curve.empty() && (Curve.size() - 1) % Stride != 0) {
-    Json += First ? "" : ",";
-    Json += formatString("[%zu,", Curve.back().Iteration);
-    Json += formatJsonDouble(Curve.back().CostSeconds) + ",";
-    Json += formatJsonDouble(Curve.back().Rmse) + "]";
-  }
-  Json += "]";
+  for (size_t I = 0; I < Curve.size(); I += Stride)
+    writeCurvePoint(W, Curve[I]);
+  if (!Curve.empty() && (Curve.size() - 1) % Stride != 0)
+    writeCurvePoint(W, Curve.back());
+  Json += W.endArray().text();
 }
 
 } // namespace

@@ -10,7 +10,7 @@
 /// Figure 5, Figure 6): a work-queue that expands a CampaignSpec — the
 /// cross-product of benchmarks x surrogate models x scorers x batch sizes
 /// x sampling plans x seeds at any ExperimentScale — into independent run
-/// cells, submits the cells as top-level tasks of a work-stealing
+/// cells, forks the cells as top-level tasks of a work-stealing
 /// Scheduler, and checkpoints every completed cell to a crash-safe JSONL
 /// ledger.  Cells are *nested-parallel*: each cell's learner forks its
 /// inner work (DynaTree particle shards, GP/KNN scoring shards, batched
@@ -366,6 +366,15 @@ std::string planToken(const SamplingPlan &Plan);
 bool parseModelToken(const std::string &Token, ModelKind &Out);
 bool parseScorerToken(const std::string &Token, ScorerKind &Out);
 bool parsePlanToken(const std::string &Token, SamplingPlan &Out);
+
+/// The ledger's line codec: one cell's checkpointed result as a JSON
+/// line (newline included), and back.  The parser refuses any line the
+/// writer cannot produce (a torn or foreign record), filling \p Key and
+/// \p Result only partially in that case.
+std::string cellLine(const std::string &Key, CampaignCell::Kind Kind,
+                     const CellResult &Result);
+bool parseCellLine(const std::string &Line, std::string &Key,
+                   CellResult &Result);
 
 /// The default plan list at scale \p S — the three Figure 6 sampling
 /// plans with the scale's sequential cap.  The alic_campaign CLI and the

@@ -5,6 +5,7 @@
 #include "support/Error.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace alic;
@@ -22,8 +23,9 @@ Kernel::Kernel(const Kernel &Other)
 
 unsigned Kernel::addArray(std::string ArrayName, std::vector<int64_t> Dims) {
   assert(!Dims.empty() && "arrays need at least one dimension");
-  for (int64_t D : Dims)
-    assert(D > 0 && "array dimensions must be positive");
+  assert(std::all_of(Dims.begin(), Dims.end(),
+                     [](int64_t D) { return D > 0; }) &&
+         "array dimensions must be positive");
   Arrays.push_back({std::move(ArrayName), std::move(Dims)});
   return static_cast<unsigned>(Arrays.size() - 1);
 }

@@ -60,89 +60,68 @@ void visitNumericFields(SpecT &Spec, VisitorT &&Visit) {
 /// Integers travel as decimal strings: a JSON number is a double, which
 /// rounds 64-bit values above 2^53.
 std::string headerRecord(const std::string &Id, const SessionSpec &Spec) {
-  std::string Record = formatString("{\"alsv\":%d", JournalVersion);
-  Record += ",\"id\":\"" + jsonEscape(Id) + "\"";
-  Record += ",\"benchmark\":\"" + jsonEscape(Spec.Benchmark) + "\"";
-  Record += std::string(",\"model\":\"") + modelToken(Spec.Model) + "\"";
-  Record += std::string(",\"scorer\":\"") + scorerToken(Spec.Scorer) + "\"";
-  Record += ",\"plan\":\"" + planToken(Spec.Plan) + "\"";
+  JsonWriter W;
+  W.beginObject().key("alsv").integer(JournalVersion).key("id").string(Id);
+  W.key("benchmark").string(Spec.Benchmark);
+  W.key("model").string(modelToken(Spec.Model));
+  W.key("scorer").string(scorerToken(Spec.Scorer));
+  W.key("plan").string(planToken(Spec.Plan));
   // The token names the policy kind; its rounded numbers are overwritten
   // by the exact fields below on restore.
-  Record += ",\"policy\":\"" + queryPolicyToken(Spec.Query) + "\"";
+  W.key("policy").string(queryPolicyToken(Spec.Query));
   visitNumericFields(Spec, [&](const char *Name, auto Value) {
-    Record += formatString(",\"%s\":", Name);
     if constexpr (std::is_same_v<decltype(Value), double>)
-      Record += formatJsonDouble(Value);
+      W.key(Name).number(Value);
     else
-      Record += "\"" + std::to_string(Value) + "\"";
+      W.key(Name).string(std::to_string(Value));
   });
-  return Record + "}\n";
+  return W.endObject().take() + "\n";
 }
 
 bool parseHeaderRecord(const std::string &Line, std::string &Id,
                        SessionSpec &Spec) {
   JsonValue Root;
-  double Version = 0.0;
-  std::string Model, Scorer, Plan, Policy;
-  if (!parseJson(Line.c_str(), Root) || Root.K != JsonValue::Kind::Object ||
-      !jsonNumberField(Root, "alsv", Version) || Version != JournalVersion ||
-      !jsonStringField(Root, "id", Id) ||
-      !jsonStringField(Root, "benchmark", Spec.Benchmark) ||
-      !jsonStringField(Root, "model", Model) ||
-      !parseModelToken(Model, Spec.Model) ||
-      !jsonStringField(Root, "scorer", Scorer) ||
-      !parseScorerToken(Scorer, Spec.Scorer) ||
-      !jsonStringField(Root, "plan", Plan) ||
-      !parsePlanToken(Plan, Spec.Plan) ||
-      !jsonStringField(Root, "policy", Policy) ||
-      !parseQueryPolicy(Policy, Spec.Query))
+  if (!parseJson(Line.c_str(), Root))
     return false;
-  bool Ok = true;
+  unsigned Version = 0;
+  std::string Model, Scorer, Plan, Policy;
+  JsonReader Fields(Root);
+  Fields.integer("alsv", Version).string("id", Id);
+  Fields.string("benchmark", Spec.Benchmark).string("model", Model);
+  Fields.string("scorer", Scorer).string("plan", Plan);
+  Fields.string("policy", Policy);
+  bool Ok = Fields.ok() && Version == JournalVersion &&
+            parseModelToken(Model, Spec.Model) &&
+            parseScorerToken(Scorer, Spec.Scorer) &&
+            parsePlanToken(Plan, Spec.Plan) &&
+            parseQueryPolicy(Policy, Spec.Query);
   visitNumericFields(Spec, [&](const char *Name, auto &Value) {
     using T = std::remove_reference_t<decltype(Value)>;
     std::string Digits;
     uint64_t Parsed = 0;
     if constexpr (std::is_same_v<T, double>) {
-      Ok = Ok && jsonNumberField(Root, Name, Value);
+      Fields.number(Name, Value);
     } else {
-      Ok = Ok && jsonStringField(Root, Name, Digits) &&
+      Ok = Ok && Fields.string(Name, Digits).ok() &&
            parseDecimal(Digits, std::numeric_limits<T>::max(), Parsed);
       Value = T(Parsed);
     }
   });
-  return Ok;
+  return Ok && Fields.ok();
 }
 
 /// One observe's record: its 0-based index in the session and its costs.
 std::string eventRecord(size_t N, const std::vector<double> &Costs) {
-  std::string Record = formatString("{\"n\":%zu,\"costs\":[", N);
-  for (size_t I = 0; I != Costs.size(); ++I) {
-    if (I)
-      Record += ",";
-    Record += formatJsonDouble(Costs[I]);
-  }
-  return Record + "]}\n";
+  JsonWriter W;
+  W.beginObject().key("n").integer(N).key("costs").numbers(Costs);
+  return W.endObject().take() + "\n";
 }
 
 bool parseEventRecord(const std::string &Line, size_t &N,
                       std::vector<double> &Costs) {
   JsonValue Root;
-  double Index = -1.0;
-  if (!parseJson(Line.c_str(), Root) || Root.K != JsonValue::Kind::Object ||
-      !jsonNumberField(Root, "n", Index) || Index < 0.0 ||
-      Index > 0x1p53 || Index != std::floor(Index))
-    return false;
-  const JsonValue *Items = Root.field("costs");
-  if (!Items || Items->K != JsonValue::Kind::Array)
-    return false;
-  N = size_t(Index);
-  Costs.clear();
-  for (const JsonValue &Item : Items->Items) {
-    if (Item.K != JsonValue::Kind::Number)
-      return false;
-    Costs.push_back(Item.Number);
-  }
-  return true;
+  return parseJson(Line.c_str(), Root) &&
+         JsonReader(Root).integer("n", N).numbers("costs", Costs).ok();
 }
 
 /// Raw bits of a double, for cache keys (0.75 and 0.7500001 must not

@@ -9,65 +9,16 @@
 using namespace alic;
 
 std::string alic::errorReply(const std::string &Message) {
-  return "{\"ok\":false,\"error\":\"" + jsonEscape(Message) + "\"}";
+  JsonWriter W;
+  return W.beginObject().key("ok").boolean(false).key("error")
+      .string(Message).endObject().take();
 }
 
 namespace {
 
 const char *phaseToken(SuggestPhase Phase) {
-  switch (Phase) {
-  case SuggestPhase::Explore:
-    return "explore";
-  case SuggestPhase::Refine:
-    return "refine";
-  case SuggestPhase::Skip:
-    return "skip";
-  case SuggestPhase::Done:
-    return "done";
-  }
-  return "done";
-}
-
-/// Reads an optional field; true when absent (keeping the default) or
-/// present with the right type, false on a type/value error.
-bool optionalString(const JsonValue &Obj, const char *Name, std::string &Out,
-                    std::string &Err) {
-  const JsonValue *F = Obj.field(Name);
-  if (!F)
-    return true;
-  if (F->K != JsonValue::Kind::String) {
-    Err = std::string("field '") + Name + "' must be a string";
-    return false;
-  }
-  Out = F->Str;
-  return true;
-}
-
-bool optionalU64(const JsonValue &Obj, const char *Name, uint64_t &Out,
-                 std::string &Err) {
-  const JsonValue *F = Obj.field(Name);
-  if (!F)
-    return true;
-  if (F->K != JsonValue::Kind::Number || F->Number < 0) {
-    Err = std::string("field '") + Name + "' must be a non-negative number";
-    return false;
-  }
-  Out = uint64_t(F->Number);
-  return true;
-}
-
-/// Reads an optional token field through \p Parse; an empty or absent
-/// field keeps the default.  \p Want lists the accepted forms.
-template <typename ParseT>
-bool optionalToken(const JsonValue &Obj, const char *Name, ParseT Parse,
-                   const char *Want, std::string &Err) {
-  std::string Token;
-  if (!optionalString(Obj, Name, Token, Err))
-    return false;
-  if (Token.empty() || Parse(Token))
-    return true;
-  Err = std::string("unknown ") + Name + " '" + Token + "' (want " + Want + ")";
-  return false;
+  static const char *const Tokens[] = {"explore", "refine", "skip", "done"};
+  return Tokens[size_t(Phase)];
 }
 
 /// Parses the optional `spec` object of an `open` request into \p Spec
@@ -80,211 +31,164 @@ bool parseSpec(const JsonValue &Root, SessionSpec &Spec, std::string &Err) {
     Err = "field 'spec' must be an object";
     return false;
   }
-  if (!optionalString(*S, "benchmark", Spec.Benchmark, Err))
-    return false;
-
+  constexpr JsonReader::Presence Optional = JsonReader::Optional;
+  JsonReader Fields(*S);
+  Fields.string("benchmark", Spec.Benchmark, Optional);
   // Model, scorer, plan and policy travel in their campaign token forms
-  // (exp/Campaign.h, core/QueryPolicy.h).
-  auto ToModel = [&](const std::string &T) {
-    return parseModelToken(T, Spec.Model);
+  // (exp/Campaign.h, core/QueryPolicy.h); empty or absent keeps the
+  // default, and \p Want lists the accepted forms.
+  auto Token = [&](const char *Name, auto &Out, auto Parse, const char *Want) {
+    std::string T;
+    if (Fields.string(Name, T, Optional).ok() && !T.empty() && !Parse(T, Out))
+      Fields.fail(std::string("unknown ") + Name + " '" + T + "' (want " +
+                  Want + ")");
   };
-  auto ToScorer = [&](const std::string &T) {
-    return parseScorerToken(T, Spec.Scorer);
-  };
-  auto ToPlan = [&](const std::string &T) {
-    return parsePlanToken(T, Spec.Plan);
-  };
-  auto ToPolicy = [&](const std::string &T) {
-    return parseQueryPolicy(T, Spec.Query);
-  };
-  if (!optionalToken(*S, "model", ToModel, "dynatree|gp|gp_sor", Err) ||
-      !optionalToken(*S, "scorer", ToScorer, "alc|alm|random", Err) ||
-      !optionalToken(*S, "plan", ToPlan, "seq:<cap>|fixed:<obs>", Err) ||
-      !optionalToken(*S, "policy", ToPolicy,
-                     "always|alm[:abs[:rel]]|cost[:c0[:c1]]", Err))
-    return false;
-
-  uint64_t Batch = Spec.BatchSize;
-  if (!optionalU64(*S, "batch", Batch, Err))
-    return false;
-  Spec.BatchSize = unsigned(Batch);
-  if (!optionalU64(*S, "seed", Spec.Seed, Err))
-    return false;
-  if (!optionalU64(*S, "dataset_seed", Spec.DatasetSeed, Err))
-    return false;
-  uint64_t MaxExamples = Spec.Scale.MaxTrainingExamples;
-  if (!optionalU64(*S, "max_examples", MaxExamples, Err))
-    return false;
-  if (MaxExamples == 0) {
-    Err = "field 'max_examples' must be positive";
-    return false;
-  }
-  Spec.Scale.MaxTrainingExamples = unsigned(MaxExamples);
-  return true;
+  Token("model", Spec.Model, parseModelToken, "dynatree|gp|gp_sor");
+  Token("scorer", Spec.Scorer, parseScorerToken, "alc|alm|random");
+  Token("plan", Spec.Plan, parsePlanToken, "seq:<cap>|fixed:<obs>");
+  Token("policy", Spec.Query, parseQueryPolicy,
+        "always|alm[:abs[:rel]]|cost[:c0[:c1]]");
+  Fields.integer("batch", Spec.BatchSize, Optional)
+      .integer("seed", Spec.Seed, Optional)
+      .integer("dataset_seed", Spec.DatasetSeed, Optional)
+      .integer("max_examples", Spec.Scale.MaxTrainingExamples, Optional);
+  if (Spec.Scale.MaxTrainingExamples == 0)
+    Fields.fail("field 'max_examples' must be positive");
+  Err = Fields.error();
+  return Fields.ok();
 }
 
-void appendConfigArray(std::string &Reply, const std::vector<Config> &Configs) {
-  for (size_t I = 0; I != Configs.size(); ++I) {
-    if (I)
-      Reply += ",";
-    Reply += "[";
-    for (size_t J = 0; J != Configs[I].size(); ++J) {
-      if (J)
-        Reply += ",";
-      Reply += std::to_string(Configs[I][J]);
+/// Field \p Name: configurations, each an array of parameter ordinals.
+void writeConfigs(JsonWriter &W, const char *Name,
+                  const std::vector<Config> &Configs) {
+  W.key(Name).beginArray();
+  for (const Config &C : Configs) {
+    W.beginArray();
+    for (uint16_t Ordinal : C)
+      W.integer(Ordinal);
+    W.endArray();
+  }
+  W.endArray();
+}
+
+/// Runs one request against \p Engine.  On success \p W holds the reply
+/// object's fields after `"ok":true`; on failure \p Err says why.
+/// Sets \p Shutdown for an accepted `shutdown`.
+bool dispatch(ServeEngine &Engine, const std::string &Line, JsonWriter &W,
+              bool &Shutdown, std::string &Err) {
+  JsonValue Root;
+  if (!parseJson(Line.c_str(), Root) || Root.K != JsonValue::Kind::Object) {
+    Err = "malformed request (want one JSON object per line)";
+    return false;
+  }
+  JsonReader Request(Root);
+  std::string Op, Id;
+  uint64_t Ticket = 0;
+  std::vector<double> Costs;
+  if (Request.string("op", Op).ok() && Op != "ping" && Op != "shutdown")
+    Request.string("session", Id);
+  if (Op == "observe")
+    Request.integer("ticket", Ticket).numbers("costs", Costs);
+  if (!Request.ok()) {
+    Err = Request.error();
+    return false;
+  }
+
+  if (Op == "ping") {
+    W.key("sessions").integer(Engine.sessionCount());
+    return true;
+  }
+  if (Op == "shutdown") {
+    W.key("bye").boolean(true);
+    Shutdown = true;
+    return true;
+  }
+
+  if (Op == "open") {
+    SessionSpec Spec;
+    if (!parseSpec(Root, Spec, Err) || !Engine.openSession(Id, Spec, Err))
+      return false;
+    W.key("session").string(Id);
+    return true;
+  }
+
+  if (Op == "suggest") {
+    Suggestion S;
+    if (!Engine.suggest(Id, S, Err))
+      return false;
+    W.key("phase").string(phaseToken(S.Phase));
+    W.key("ticket").integer(S.Ticket);
+    W.key("observations_per_config").integer(S.ObservationsPerConfig);
+    writeConfigs(W, "configs", S.Configs);
+    // Declined picks ride along so clients can see (and log) every skip
+    // decision; they must not be measured, and costs pair with "configs"
+    // only.  Always empty under the default Always policy.
+    writeConfigs(W, "skipped", S.Skipped);
+    return true;
+  }
+
+  if (Op == "observe") {
+    SessionInfo Info;
+    if (!Engine.observe(Id, Ticket, Costs, Err))
+      return false;
+    size_t Observes = Engine.sessionInfo(Id, Info, Err) ? Info.Observes : 0;
+    W.key("observes").integer(Observes);
+    return true;
+  }
+
+  if (Op == "info") {
+    SessionInfo Info;
+    if (!Engine.sessionInfo(Id, Info, Err))
+      return false;
+    const LearnerStats &Stats = Info.Stats;
+    W.key("phase").string(phaseToken(Info.Phase));
+    W.key("iterations").integer(Stats.Iterations);
+    W.key("distinct").integer(Stats.DistinctExamples);
+    W.key("revisits").integer(Stats.Revisits);
+    W.key("observations").integer(Stats.Observations);
+    // queries + skips = refine picks consumed (iterations): how many the
+    // query policy labelled vs declined.
+    W.key("queries").integer(Stats.Iterations - Stats.Skips);
+    W.key("skips").integer(Stats.Skips);
+    W.key("observes").integer(Info.Observes);
+    W.key("total_cost_seconds").number(Info.TotalCostSeconds);
+    W.key("done").boolean(Info.Done);
+    W.key("snapshot_dirty").boolean(Info.SnapshotDirty);
+    return true;
+  }
+
+  if (Op == "eval") {
+    double Rmse = 0.0;
+    if (!Engine.evaluate(Id, Rmse, Err))
+      return false;
+    W.key("rmse").number(Rmse);
+    return true;
+  }
+
+  if (Op == "close") {
+    if (!Engine.closeSession(Id)) {
+      Err = "unknown session '" + Id + "'";
+      return false;
     }
-    Reply += "]";
+    return true;
   }
-}
 
-std::string suggestionReply(const Suggestion &S) {
-  std::string Reply = "{\"ok\":true,\"phase\":\"";
-  Reply += phaseToken(S.Phase);
-  Reply += "\",\"ticket\":" + std::to_string(S.Ticket);
-  Reply +=
-      ",\"observations_per_config\":" + std::to_string(S.ObservationsPerConfig);
-  Reply += ",\"configs\":[";
-  appendConfigArray(Reply, S.Configs);
-  // Declined picks ride along so clients can see (and log) every skip
-  // decision; they must not be measured, and costs pair with "configs"
-  // only.  Always empty under the default Always policy.
-  Reply += "],\"skipped\":[";
-  appendConfigArray(Reply, S.Skipped);
-  Reply += "]}";
-  return Reply;
+  Err = "unknown op '" + Op + "'";
+  return false;
 }
 
 } // namespace
 
 bool alic::handleRequestLine(ServeEngine &Engine, const std::string &Line,
                              std::string &Reply) {
-  JsonValue Root;
-  if (!parseJson(Line.c_str(), Root) || Root.K != JsonValue::Kind::Object) {
-    Reply = errorReply("malformed request (want one JSON object per line)");
-    return false;
-  }
-  std::string Op;
-  if (!jsonStringField(Root, "op", Op)) {
-    Reply = errorReply("missing string field 'op'");
-    return false;
-  }
-
-  if (Op == "ping") {
-    Reply = "{\"ok\":true,\"sessions\":" +
-            std::to_string(Engine.sessionCount()) + "}";
-    return false;
-  }
-  if (Op == "shutdown") {
-    Reply = "{\"ok\":true,\"bye\":true}";
-    return true;
-  }
-
-  std::string Id;
-  if (!jsonStringField(Root, "session", Id)) {
-    Reply = errorReply("missing string field 'session'");
-    return false;
-  }
+  JsonWriter W;
+  W.beginObject().key("ok").boolean(true);
+  bool Shutdown = false;
   std::string Err;
-
-  if (Op == "open") {
-    SessionSpec Spec;
-    if (!parseSpec(Root, Spec, Err)) {
-      Reply = errorReply(Err);
-      return false;
-    }
-    if (!Engine.openSession(Id, Spec, Err)) {
-      Reply = errorReply(Err);
-      return false;
-    }
-    Reply = "{\"ok\":true,\"session\":\"" + jsonEscape(Id) + "\"}";
+  if (!dispatch(Engine, Line, W, Shutdown, Err)) {
+    Reply = errorReply(Err);
     return false;
   }
-
-  if (Op == "suggest") {
-    Suggestion S;
-    if (!Engine.suggest(Id, S, Err)) {
-      Reply = errorReply(Err);
-      return false;
-    }
-    Reply = suggestionReply(S);
-    return false;
-  }
-
-  if (Op == "observe") {
-    double TicketNumber = -1.0;
-    if (!jsonNumberField(Root, "ticket", TicketNumber) || TicketNumber < 0) {
-      Reply = errorReply("missing numeric field 'ticket'");
-      return false;
-    }
-    const JsonValue *CostsField = Root.field("costs");
-    if (!CostsField || CostsField->K != JsonValue::Kind::Array) {
-      Reply = errorReply("missing array field 'costs'");
-      return false;
-    }
-    std::vector<double> Costs;
-    Costs.reserve(CostsField->Items.size());
-    for (const JsonValue &Item : CostsField->Items) {
-      if (Item.K != JsonValue::Kind::Number) {
-        Reply = errorReply("field 'costs' must hold numbers only");
-        return false;
-      }
-      Costs.push_back(Item.Number);
-    }
-    if (!Engine.observe(Id, uint64_t(TicketNumber), Costs, Err)) {
-      Reply = errorReply(Err);
-      return false;
-    }
-    SessionInfo Info;
-    size_t Observes = Engine.sessionInfo(Id, Info, Err) ? Info.Observes : 0;
-    Reply = "{\"ok\":true,\"observes\":" + std::to_string(Observes) + "}";
-    return false;
-  }
-
-  if (Op == "info") {
-    SessionInfo Info;
-    if (!Engine.sessionInfo(Id, Info, Err)) {
-      Reply = errorReply(Err);
-      return false;
-    }
-    Reply = "{\"ok\":true,\"phase\":\"";
-    Reply += phaseToken(Info.Phase);
-    Reply += "\",\"iterations\":" + std::to_string(Info.Stats.Iterations);
-    Reply += ",\"distinct\":" + std::to_string(Info.Stats.DistinctExamples);
-    Reply += ",\"revisits\":" + std::to_string(Info.Stats.Revisits);
-    Reply += ",\"observations\":" + std::to_string(Info.Stats.Observations);
-    // queries + skips = refine picks consumed (iterations): how many the
-    // query policy labelled vs declined.
-    Reply += ",\"queries\":" +
-             std::to_string(Info.Stats.Iterations - Info.Stats.Skips);
-    Reply += ",\"skips\":" + std::to_string(Info.Stats.Skips);
-    Reply += ",\"observes\":" + std::to_string(Info.Observes);
-    Reply += ",\"total_cost_seconds\":" + formatJsonDouble(Info.TotalCostSeconds);
-    Reply += std::string(",\"done\":") + (Info.Done ? "true" : "false");
-    Reply += std::string(",\"snapshot_dirty\":") +
-             (Info.SnapshotDirty ? "true" : "false");
-    Reply += "}";
-    return false;
-  }
-
-  if (Op == "eval") {
-    double Rmse = 0.0;
-    if (!Engine.evaluate(Id, Rmse, Err)) {
-      Reply = errorReply(Err);
-      return false;
-    }
-    Reply = "{\"ok\":true,\"rmse\":" + formatJsonDouble(Rmse) + "}";
-    return false;
-  }
-
-  if (Op == "close") {
-    if (!Engine.closeSession(Id)) {
-      Reply = errorReply("unknown session '" + Id + "'");
-      return false;
-    }
-    Reply = "{\"ok\":true}";
-    return false;
-  }
-
-  Reply = errorReply("unknown op '" + Op + "'");
-  return false;
+  Reply = W.endObject().take();
+  return Shutdown;
 }

@@ -1,4 +1,4 @@
-//===- support/Json.h - Minimal JSON reader/writer helpers ----*- C++ -*-===//
+//===- support/Json.h - The project's one-line JSON codec -----*- C++ -*-===//
 //
 // Part of the ALIC project: a reproduction of "Minimizing the Cost of
 // Iterative Compilation with Active Learning" (Ogilvie et al., CGO 2017).
@@ -6,27 +6,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A tiny JSON facility shared by every line-oriented JSON surface in the
-/// project: the campaign cell ledger (exp/Campaign) and the serve wire
-/// protocol (serve/Wire).  Parsing is a strict recursive descent over one
-/// null-terminated document; rendering of doubles uses the shortest
-/// std::to_chars form, which strtod parses back to the same bits, so
-/// checkpointed values survive a serialize/parse round trip exactly.
+/// The single-line JSON codec behind every line record in the project:
+/// the serve wire (serve/Wire), the serve session journal
+/// (serve/ServeEngine) and the campaign cell ledger (exp/Campaign).
+/// parseJson() builds a JsonValue tree, JsonReader makes the typed,
+/// checked reads of an object's fields, and JsonWriter renders one
+/// compact document.  Doubles render in the shortest std::to_chars form,
+/// which strtod parses back to the same bits, so checkpointed values
+/// round-trip exactly.
 ///
-/// This is deliberately not a general JSON library: no streaming, no
-/// \\uXXXX escapes (none of our producers emit them), numbers restricted
-/// to the JSON grammar with finite values, and container nesting capped
-/// (the wire surface reads untrusted sockets, so unbounded recursion or
-/// smuggled NaN/Infinity costs must die at the parser).  Both of our
-/// surfaces are machine-to-machine lines we also produce, so strictness
-/// is a feature — anything unparsable is a crash remnant or a protocol
-/// error, and the caller skips or rejects it.
+/// Deliberately not a general JSON library: no streaming, no \\uXXXX
+/// escapes on input (no producer of ours needs them), finite numbers in
+/// the JSON grammar only, and nesting capped, because the wire reads
+/// untrusted sockets.  Anything unparsable is a crash remnant or a
+/// protocol error, which the caller skips or rejects.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALIC_SUPPORT_JSON_H
 #define ALIC_SUPPORT_JSON_H
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,20 +36,14 @@ namespace alic {
 
 /// One parsed JSON value (a small recursive variant).
 struct JsonValue {
-  /// JSON type tag.
   enum class Kind { Null, Bool, Number, String, Array, Object };
-  /// Type of this value.
-  Kind K = Kind::Null;
-  /// Payload of Kind::Bool values.
-  bool BoolValue = false;
-  /// Payload of Kind::Number values.
-  double Number = 0.0;
-  /// Payload of Kind::String values.
-  std::string Str;
-  /// Payload of Kind::Array values, in document order.
-  std::vector<JsonValue> Items;
-  /// Payload of Kind::Object values, in document order (duplicate keys
-  /// are kept; field() returns the first).
+  Kind K = Kind::Null;         ///< type of this value
+  bool BoolValue = false;      ///< payload of Kind::Bool
+  double Number = 0.0;         ///< payload of Kind::Number
+  std::string Str;             ///< payload of Kind::String
+  std::vector<JsonValue> Items; ///< payload of Kind::Array, in order
+  /// Payload of Kind::Object, in document order (duplicate keys are
+  /// kept; field() returns the first).
   std::vector<std::pair<std::string, JsonValue>> Fields;
 
   /// First field named \p Name, or nullptr.  Object values only.
@@ -67,24 +62,118 @@ struct JsonValue {
 bool parseJson(const char *Text, JsonValue &Out);
 
 /// Shortest decimal rendering of \p Value that strtod parses back to the
-/// same IEEE-754 bits (std::to_chars), so doubles written to a ledger or
-/// a wire line round-trip exactly.  Non-finite input renders as "null"
-/// (valid JSON, unlike a bare nan/inf token).
+/// same IEEE-754 bits; non-finite input renders as "null".
 std::string formatJsonDouble(double Value);
 
-/// Escapes \p Text for embedding inside a JSON string literal (quotes not
-/// included).  Control characters, quote, and backslash only — the output
-/// stays ASCII-transparent for everything else.
-std::string jsonEscape(const std::string &Text);
+/// Largest integer a JSON number carries exactly: 2^53 itself is also
+/// what 2^53 + 1 parses to.  Larger integers travel as decimal strings.
+constexpr uint64_t MaxExactJsonInteger = (uint64_t(1) << 53) - 1;
 
-/// Reads object field \p Name as a number into \p Out; false when the
-/// field is missing or not a number.
-bool jsonNumberField(const JsonValue &Object, const char *Name, double &Out);
+/// Reads \p Value as an integer from 0 to min(\p Max, MaxExactJsonInteger)
+/// into \p Out; false for anything else (a fraction, say).
+bool jsonInteger(const JsonValue &Value, uint64_t Max, uint64_t &Out);
 
-/// Reads object field \p Name as a string into \p Out; false when the
-/// field is missing or not a string.
-bool jsonStringField(const JsonValue &Object, const char *Name,
-                     std::string &Out);
+/// Reads \p Value as an array holding numbers only into \p Out.
+bool jsonNumbers(const JsonValue &Value, std::vector<double> &Out);
+
+/// Typed, checked reads of one object's fields.  A read fills its output
+/// or fails; the first failure sticks (later reads leave their outputs
+/// alone), and error() names it:
+///  * a Required field absent or of the wrong type: "missing <type>
+///    field 'X'" (type: string, numeric, array);
+///  * an Optional field of the wrong type: "field 'X' must be a string";
+///  * a value outside its domain: "field 'X' must be an integer from 0
+///    to N" or "field 'X' must hold numbers only".
+class JsonReader {
+public:
+  /// Whether a read fails when its field is absent (an absent Optional
+  /// field keeps its output).
+  enum Presence { Required, Optional };
+
+  /// Reads the fields of \p Object, which must outlive the reader.
+  explicit JsonReader(const JsonValue &Object) : Object(Object) {}
+
+  JsonReader &string(const char *Name, std::string &Out,
+                     Presence P = Required);
+  JsonReader &number(const char *Name, double &Out, Presence P = Required);
+  JsonReader &numbers(const char *Name, std::vector<double> &Out,
+                      Presence P = Required);
+  /// An exact integer up to the largest \p UIntT a JSON number carries.
+  template <typename UIntT>
+  JsonReader &integer(const char *Name, UIntT &Out, Presence P = Required) {
+    uint64_t Value = 0;
+    if (readInteger(Name, std::numeric_limits<UIntT>::max(), Value, P))
+      Out = UIntT(Value);
+    return *this;
+  }
+
+  /// Fails the reader with \p Message, unless it failed already.
+  void fail(std::string Message);
+  bool ok() const { return Error.empty(); }
+  const std::string &error() const { return Error; }
+
+private:
+  /// The field to read, or nullptr when the reader failed already or the
+  /// field is absent (failing a Required one).
+  const JsonValue *find(const char *Name, Presence P, const char *Type);
+  /// Fails a field present with the wrong type: a Required one as
+  /// missing, an Optional one as "must be \p Noun".
+  void wrongType(const char *Name, Presence P, const char *Type,
+                 const std::string &Noun);
+  bool readInteger(const char *Name, uint64_t Max, uint64_t &Out,
+                   Presence P);
+
+  const JsonValue &Object;
+  std::string Error;
+};
+
+/// Renders one compact JSON document; the writer places the commas.
+/// Inside an object every value follows its key():
+///
+///   JsonWriter W;
+///   W.beginObject().key("ok").boolean(true).key("n").integer(3);
+///   std::string Line = W.endObject().take(); // {"ok":true,"n":3}
+class JsonWriter {
+public:
+  JsonWriter &beginObject() { return open('{'); }
+  JsonWriter &endObject() { return close('}'); }
+  JsonWriter &beginArray() { return open('['); }
+  JsonWriter &endArray() { return close(']'); }
+  JsonWriter &key(const char *Name);
+  /// Escapes quote, backslash and control characters.
+  JsonWriter &string(const std::string &Text);
+  /// The formatJsonDouble form.
+  JsonWriter &number(double Value);
+  JsonWriter &numbers(const std::vector<double> &Values);
+  JsonWriter &integer(uint64_t Value);
+  JsonWriter &boolean(bool Value);
+
+  const std::string &text() const { return Out; }
+  std::string take() { return std::move(Out); }
+
+private:
+  /// Emits the comma owed to the previous value, if any; the value about
+  /// to be written owes one to the next.
+  void separate() {
+    if (AfterValue)
+      Out.push_back(',');
+    AfterValue = true;
+  }
+  JsonWriter &open(char Bracket) {
+    separate();
+    Out.push_back(Bracket);
+    AfterValue = false;
+    return *this;
+  }
+  JsonWriter &close(char Bracket) {
+    Out.push_back(Bracket);
+    AfterValue = true;
+    return *this;
+  }
+
+  std::string Out;
+  bool AfterValue = false;
+};
 
 } // namespace alic
 

@@ -67,7 +67,7 @@ public:
 
   /// Forks \p Fn as a child task.  When the caller is a worker (or a task
   /// running on one), the child lands on that worker's own deque; other
-  /// threads submit through the external queue.
+  /// threads go through the external queue.
   void run(std::function<void()> Fn);
 
   /// Returns once every forked child has finished.  Never blocks a
@@ -92,9 +92,9 @@ struct SchedulerStats {
   uint64_t Steals = 0;   ///< tasks taken from another worker's deque
 };
 
-/// The process-wide worker pool.  API-compatible superset of the old
-/// ThreadPool (submit/waitAll/parallelFor/parallelForShards), plus legal
-/// nesting from inside tasks.
+/// The process-wide worker pool.  All work enters through a TaskGroup
+/// (directly, or via parallelFor/parallelForShards), so every task has a
+/// joiner; nesting from inside tasks is legal.
 class Scheduler {
 public:
   /// Construction knobs beyond the worker count.  StealSeed and
@@ -115,18 +115,12 @@ public:
   explicit Scheduler(unsigned NumThreads = 0);
   explicit Scheduler(const Options &Opts);
 
-  /// Drains outstanding work and joins the workers.
+  /// Joins the workers.  Every task belongs to a TaskGroup, which joins
+  /// its children before it is destroyed, so no work is outstanding here.
   ~Scheduler();
 
   Scheduler(const Scheduler &) = delete;
   Scheduler &operator=(const Scheduler &) = delete;
-
-  /// Enqueues \p Task for execution (detached; waitAll() joins it).
-  void submit(std::function<void()> Task);
-
-  /// Returns once every submitted task (and, transitively, everything
-  /// those tasks waited on) has finished.  Helps while waiting.
-  void waitAll();
 
   /// Number of worker threads.
   unsigned numThreads() const;
@@ -149,10 +143,6 @@ public:
 private:
   friend class TaskGroup;
   struct Impl;
-
-  void fork(TaskGroup *Group, std::function<void()> Fn);
-  void waitGroup(TaskGroup &Group);
-
   std::unique_ptr<Impl> I;
 };
 

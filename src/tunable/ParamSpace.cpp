@@ -5,6 +5,7 @@
 #include "support/Error.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_set>
 
@@ -63,10 +64,12 @@ int Param::value(size_t Ordinal) const {
 
 ParamSpace::ParamSpace(std::vector<Param> Params) : Params(std::move(Params)) {
   assert(!this->Params.empty() && "a space needs at least one parameter");
-  for (const Param &P : this->Params) {
-    assert(P.numValues() >= 1 && "parameter with no values");
-    assert(P.numValues() <= 65535 && "ordinal must fit in uint16_t");
-  }
+  assert(std::all_of(this->Params.begin(), this->Params.end(),
+                     [](const Param &P) { return P.numValues() >= 1; }) &&
+         "parameter with no values");
+  assert(std::all_of(this->Params.begin(), this->Params.end(),
+                     [](const Param &P) { return P.numValues() <= 65535; }) &&
+         "ordinal must fit in uint16_t");
 }
 
 BigUInt ParamSpace::cardinality() const {
@@ -147,8 +150,10 @@ std::vector<Config> ParamSpace::sampleDistinct(Rng &R, size_t Count) const {
 
 std::vector<Config> ParamSpace::enumerateAll(size_t Limit) const {
   BigUInt Card = cardinality();
-  assert(Card <= BigUInt(static_cast<uint64_t>(Limit)) &&
-         "space too large to enumerate");
+  if (Card > BigUInt(static_cast<uint64_t>(Limit)))
+    fatalError("space of %s configurations is too large to enumerate "
+               "(limit %zu)",
+               Card.toString().c_str(), Limit);
   size_t Total = static_cast<size_t>(Card.toU64());
   std::vector<Config> Result;
   Result.reserve(Total);

@@ -116,9 +116,10 @@ public:
   /// holds fewer than \p Count points, returns the whole space (shuffled).
   std::vector<Config> sampleDistinct(Rng &R, size_t Count) const;
 
-  /// Enumerates the entire space in mixed-radix order; asserts that the
-  /// cardinality fits in memory-friendly bounds (used for small planes
-  /// such as Figure 1's 30x30 unroll grid).
+  /// Enumerates the entire space in mixed-radix order (used for small
+  /// planes such as Figure 1's 30x30 unroll grid).  A space of more than
+  /// \p Limit configurations is a fatal error in every build type, never
+  /// an attempt to materialise it.
   std::vector<Config> enumerateAll(size_t Limit = 1u << 20) const;
 
   /// Mixed-radix decode of \p Index into a Config (row-major, first param

@@ -91,7 +91,8 @@ TEST(SchedulerNestingTest, IdleWorkersStealInnerShards) {
   // can run them, so every child must be stolen.
   Scheduler S(2);
   std::atomic<int> Done{0};
-  S.submit([&] {
+  TaskGroup Outer(S);
+  Outer.run([&] {
     TaskGroup Group(S);
     for (int I = 0; I != 50; ++I)
       Group.run([&] { ++Done; });
@@ -99,12 +100,12 @@ TEST(SchedulerNestingTest, IdleWorkersStealInnerShards) {
       std::this_thread::yield();
     Group.wait();
   });
-  // Spin instead of joining right away: waitAll() *helps*, and if the
-  // main thread picked the root task up from the external queue, the
+  // Spin instead of joining right away: wait() *helps*, and if the main
+  // thread picked the outer task up from the external queue, the
   // children would be externally queued too and need no stealing.
   while (Done.load() != 50)
     std::this_thread::yield();
-  S.waitAll();
+  Outer.wait();
   EXPECT_EQ(Done.load(), 50);
   EXPECT_GE(S.stats().Steals, 50u);
   EXPECT_GE(S.stats().Executed, 51u);
@@ -238,21 +239,8 @@ TEST(SchedulerDeterminismTest, ForcedStealInterleavingsChangeNothing) {
 
 TEST(SchedulerStatsTest, ExecutedCountsEveryTask) {
   Scheduler S(3);
-  for (int I = 0; I != 40; ++I)
-    S.submit([] {});
-  S.waitAll();
+  S.parallelFor(40, [](size_t) {});
   EXPECT_EQ(S.stats().Executed, 40u);
-}
-
-TEST(SchedulerStatsTest, DestructorDrainsDetachedTasks) {
-  std::atomic<int> Ran{0};
-  {
-    Scheduler S(2);
-    for (int I = 0; I != 25; ++I)
-      S.submit([&] { ++Ran; });
-    // No waitAll: the destructor must drain before joining.
-  }
-  EXPECT_EQ(Ran.load(), 25);
 }
 
 TEST(SchedulerStatsTest, AutoThreadCountUsesHardwareConcurrency) {

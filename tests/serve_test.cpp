@@ -752,12 +752,12 @@ TEST(ServeWireTest, FullExchange) {
       roundTrip(Engine, "{\"op\":\"suggest\",\"session\":\"w\"}");
   ASSERT_TRUE(replyOk(Suggested));
   std::string Phase;
-  ASSERT_TRUE(jsonStringField(Suggested, "phase", Phase));
+  ASSERT_TRUE(JsonReader(Suggested).string("phase", Phase).ok());
   EXPECT_EQ(Phase, "explore");
   double Ticket = 0, PerConfig = 0;
-  ASSERT_TRUE(jsonNumberField(Suggested, "ticket", Ticket));
+  ASSERT_TRUE(JsonReader(Suggested).number("ticket", Ticket).ok());
   ASSERT_TRUE(
-      jsonNumberField(Suggested, "observations_per_config", PerConfig));
+      JsonReader(Suggested).number("observations_per_config", PerConfig).ok());
   const JsonValue *Configs = Suggested.field("configs");
   ASSERT_TRUE(Configs && Configs->K == JsonValue::Kind::Array);
   ASSERT_FALSE(Configs->Items.empty());
@@ -765,7 +765,7 @@ TEST(ServeWireTest, FullExchange) {
   // Re-suggest returns the identical ticket (idempotency on the wire).
   JsonValue Again = roundTrip(Engine, "{\"op\":\"suggest\",\"session\":\"w\"}");
   double Ticket2 = -1;
-  ASSERT_TRUE(jsonNumberField(Again, "ticket", Ticket2));
+  ASSERT_TRUE(JsonReader(Again).number("ticket", Ticket2).ok());
   EXPECT_EQ(Ticket, Ticket2);
 
   // Observe with the right number of costs.
@@ -783,12 +783,12 @@ TEST(ServeWireTest, FullExchange) {
   JsonValue Info = roundTrip(Engine, "{\"op\":\"info\",\"session\":\"w\"}");
   ASSERT_TRUE(replyOk(Info));
   double Observes = 0;
-  ASSERT_TRUE(jsonNumberField(Info, "observes", Observes));
+  ASSERT_TRUE(JsonReader(Info).number("observes", Observes).ok());
   EXPECT_EQ(Observes, 1.0);
   JsonValue Eval = roundTrip(Engine, "{\"op\":\"eval\",\"session\":\"w\"}");
   ASSERT_TRUE(replyOk(Eval));
   double Rmse = -1;
-  ASSERT_TRUE(jsonNumberField(Eval, "rmse", Rmse));
+  ASSERT_TRUE(JsonReader(Eval).number("rmse", Rmse).ok());
   EXPECT_GE(Rmse, 0.0);
 
   EXPECT_TRUE(replyOk(roundTrip(Engine, "{\"op\":\"close\",\"session\":\"w\"}")));
@@ -845,6 +845,67 @@ TEST(ServeWireTest, SpecTokenErrorsAreExact) {
   EXPECT_EQ(errorReply("a \"quoted\" word"),
             "{\"ok\":false,\"error\":\"a \\\"quoted\\\" word\"}");
   EXPECT_EQ(Engine.sessionCount(), 0u);
+}
+
+// Integer fields are exact: a value a double rounds, truncates or wraps
+// (2^32 into 0, 2.7 into 2, 2^53 + 1 into 2^53) is refused with one
+// ok:false reply that leaves the engine untouched.
+TEST(ServeWireTest, SpecIntegersAreExactAndInRange) {
+  ::setenv("ALIC_SCALE", "smoke", 1);
+  ServeEngine Engine(engineOptions("", 0));
+  const char *U32 = "must be an integer from 0 to 4294967295";
+  const char *Exact = "must be an integer from 0 to 9007199254740991";
+  const std::pair<const char *, std::string> Cases[] = {
+      {"\"max_examples\":4294967296",
+       std::string("field 'max_examples' ") + U32},
+      {"\"max_examples\":0", "field 'max_examples' must be positive"},
+      {"\"batch\":4294967297", std::string("field 'batch' ") + U32},
+      {"\"batch\":2.7", std::string("field 'batch' ") + U32},
+      {"\"batch\":\"2\"", std::string("field 'batch' ") + U32},
+      {"\"seed\":1e30", std::string("field 'seed' ") + Exact},
+      {"\"seed\":9007199254740993", std::string("field 'seed' ") + Exact},
+      {"\"seed\":-1", std::string("field 'seed' ") + Exact},
+      {"\"dataset_seed\":0.5", std::string("field 'dataset_seed' ") + Exact},
+  };
+  for (const auto &[Field, Want] : Cases) {
+    std::string Reply;
+    handleRequestLine(Engine,
+                      std::string("{\"op\":\"open\",\"session\":\"x\","
+                                  "\"spec\":{\"benchmark\":\"atax\",") +
+                          Field + "}}",
+                      Reply);
+    EXPECT_EQ(Reply, errorReply(Want)) << Field;
+  }
+  EXPECT_EQ(Engine.sessionCount(), 0u);
+
+  // The largest exact seed is accepted.
+  ASSERT_TRUE(replyOk(roundTrip(
+      Engine, "{\"op\":\"open\",\"session\":\"t\",\"spec\":{"
+              "\"benchmark\":\"atax\",\"seed\":9007199254740991,"
+              "\"max_examples\":4}}")));
+  JsonValue Suggested =
+      roundTrip(Engine, "{\"op\":\"suggest\",\"session\":\"t\"}");
+  ASSERT_TRUE(replyOk(Suggested));
+  // A fractional ticket is refused, not truncated to ticket 0.
+  for (const char *Ticket : {"0.5", "1.5", "-1", "1e30"}) {
+    std::string Reply;
+    handleRequestLine(Engine,
+                      std::string("{\"op\":\"observe\",\"session\":\"t\","
+                                  "\"ticket\":") +
+                          Ticket + ",\"costs\":[]}",
+                      Reply);
+    EXPECT_EQ(Reply, errorReply(std::string("field 'ticket' ") + Exact))
+        << Ticket;
+  }
+  SessionInfo Info;
+  std::string Err;
+  ASSERT_TRUE(Engine.sessionInfo("t", Info, Err)) << Err;
+  EXPECT_EQ(Info.Observes, 0u);
+  JsonValue Again = roundTrip(Engine, "{\"op\":\"suggest\",\"session\":\"t\"}");
+  double Ticket = 0, Ticket2 = -1;
+  ASSERT_TRUE(JsonReader(Suggested).number("ticket", Ticket).ok());
+  ASSERT_TRUE(JsonReader(Again).number("ticket", Ticket2).ok());
+  EXPECT_EQ(Ticket, Ticket2);
 }
 
 //===----------------------------------------------------------------------===//
@@ -941,8 +1002,8 @@ TEST(ServeWireTest, PolicyFieldsOnTheWire) {
   JsonValue Info = roundTrip(Engine, "{\"op\":\"info\",\"session\":\"q\"}");
   ASSERT_TRUE(replyOk(Info));
   double Queries = -1, Skips = -1;
-  ASSERT_TRUE(jsonNumberField(Info, "queries", Queries));
-  ASSERT_TRUE(jsonNumberField(Info, "skips", Skips));
+  ASSERT_TRUE(JsonReader(Info).number("queries", Queries).ok());
+  ASSERT_TRUE(JsonReader(Info).number("skips", Skips).ok());
   EXPECT_EQ(Queries, 0.0);
   EXPECT_EQ(Skips, 0.0);
 }

@@ -1,5 +1,8 @@
 //===- tests/support_test.cpp - support/ unit tests -----------*- C++ -*-===//
 
+#include "exp/Campaign.h"
+#include "serve/ServeEngine.h"
+#include "serve/Wire.h"
 #include "support/Backoff.h"
 #include "support/BigUInt.h"
 #include "support/Env.h"
@@ -18,6 +21,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cfloat>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -326,9 +330,7 @@ TEST(EnvTest, ScalePresetNames) {
 TEST(SchedulerTest, RunsAllTasks) {
   Scheduler Pool(4);
   std::atomic<int> Counter{0};
-  for (int I = 0; I != 100; ++I)
-    Pool.submit([&Counter] { ++Counter; });
-  Pool.waitAll();
+  Pool.parallelFor(100, [&Counter](size_t) { ++Counter; });
   EXPECT_EQ(Counter.load(), 100);
 }
 
@@ -343,11 +345,10 @@ TEST(SchedulerTest, ParallelForCoversRange) {
 TEST(SchedulerTest, ReusableAfterWait) {
   Scheduler Pool(2);
   std::atomic<int> Counter{0};
-  Pool.submit([&] { ++Counter; });
-  Pool.waitAll();
-  Pool.submit([&] { ++Counter; });
-  Pool.waitAll();
+  Pool.parallelFor(2, [&](size_t) { ++Counter; });
   EXPECT_EQ(Counter.load(), 2);
+  Pool.parallelFor(2, [&](size_t) { ++Counter; });
+  EXPECT_EQ(Counter.load(), 4);
 }
 
 TEST(SchedulerTest, ParallelForShardsCoversRangeExactlyOnce) {
@@ -695,6 +696,289 @@ TEST(JsonTest, FormatJsonDoubleNeverEmitsInvalidTokens) {
   JsonValue Out;
   ASSERT_TRUE(parseJson(formatJsonDouble(Value).c_str(), Out));
   EXPECT_EQ(Out.Number, Value);
+}
+
+//===----------------------------------------------------------------------===//
+// Json line codec: the writer, the typed reader, and golden record lines
+//===----------------------------------------------------------------------===//
+
+TEST(JsonWriterTest, EscapesQuotesBackslashesAndControlCharacters) {
+  JsonWriter W;
+  W.string(std::string("q\"b\\n\nt\tr\rb\bf\f") + '\x01' + '\x1f' + "\xc3\xa9");
+  EXPECT_EQ(W.text(), "\"q\\\"b\\\\n\\nt\\tr\\rb\\bf\\f\\u0001\\u001f\xc3\xa9\"");
+  // Everything but the \u escapes (which our producers never need to
+  // read back) parses back to the original text.
+  JsonWriter Plain;
+  const std::string Text = "say \"hi\"\\\n\t\r\b\f/";
+  Plain.string(Text);
+  JsonValue Back;
+  ASSERT_TRUE(parseJson(Plain.text().c_str(), Back));
+  EXPECT_EQ(Back.Str, Text);
+}
+
+TEST(JsonWriterTest, NonFiniteDoublesRenderAsNull) {
+  JsonWriter W;
+  W.beginArray().number(std::nan("")).number(HUGE_VAL).number(-HUGE_VAL);
+  W.numbers({1.5, std::nan("")}).endArray();
+  EXPECT_EQ(W.text(), "[null,null,null,[1.5,null]]");
+}
+
+TEST(JsonWriterTest, CommasInNestedArraysAndObjects) {
+  JsonWriter W;
+  W.beginObject().key("a").beginArray().endArray();
+  W.key("b").beginArray().beginArray().integer(1).integer(2).endArray();
+  W.beginArray().endArray().beginObject().endObject().string("s").endArray();
+  W.key("c").beginObject().key("d").boolean(true).key("e").boolean(false);
+  W.endObject().key("f").numbers({}).key("g").numbers({0.5, 2});
+  W.endObject();
+  EXPECT_EQ(W.text(), "{\"a\":[],\"b\":[[1,2],[],{},\"s\"],"
+                      "\"c\":{\"d\":true,\"e\":false},\"f\":[],\"g\":[0.5,2]}");
+  JsonValue Back;
+  EXPECT_TRUE(parseJson(W.text().c_str(), Back));
+}
+
+TEST(JsonWriterTest, UnsignedIntegersArePlainDecimal) {
+  JsonWriter W;
+  W.beginArray().integer(uint16_t(65535)).integer(0u).integer(size_t(10));
+  W.integer(~uint64_t(0)).endArray();
+  EXPECT_EQ(W.text(), "[65535,0,10,18446744073709551615]");
+}
+
+TEST(JsonWriterTest, DoublesRoundTripBitExactly) {
+  const std::vector<double> Values = {0.1 + 0.2,    1.0 / 3.0,   -0.0,
+                                      5e-324,       DBL_MIN,     DBL_MAX,
+                                      -DBL_MAX,     1e21,        1e-7,
+                                      123456.789e3, 0.1234567890123,
+                                      9007199254740993.0};
+  JsonWriter W;
+  W.beginObject().key("v").numbers(Values).endObject();
+  JsonValue Back;
+  ASSERT_TRUE(parseJson(W.text().c_str(), Back)) << W.text();
+  std::vector<double> Read;
+  ASSERT_TRUE(JsonReader(Back).numbers("v", Read).ok());
+  ASSERT_EQ(Read.size(), Values.size());
+  for (size_t I = 0; I != Values.size(); ++I) {
+    uint64_t Want, Got;
+    std::memcpy(&Want, &Values[I], sizeof(Want));
+    std::memcpy(&Got, &Read[I], sizeof(Got));
+    EXPECT_EQ(Got, Want) << W.text();
+  }
+}
+
+namespace {
+
+JsonValue parsed(const char *Text) {
+  JsonValue Out;
+  EXPECT_TRUE(parseJson(Text, Out)) << Text;
+  return Out;
+}
+
+} // namespace
+
+TEST(JsonReaderTest, WrongTypesAreRefusedWithTheFieldName) {
+  JsonValue Obj = parsed("{\"s\":1,\"n\":\"x\",\"a\":{},\"h\":[1,\"2\"]}");
+  std::string Str;
+  double Num = 0;
+  std::vector<double> Nums;
+  EXPECT_EQ(JsonReader(Obj).string("s", Str).error(),
+            "missing string field 's'");
+  EXPECT_EQ(JsonReader(Obj).string("s", Str, JsonReader::Optional).error(),
+            "field 's' must be a string");
+  EXPECT_EQ(JsonReader(Obj).number("n", Num).error(),
+            "missing numeric field 'n'");
+  EXPECT_EQ(JsonReader(Obj).number("n", Num, JsonReader::Optional).error(),
+            "field 'n' must be a number");
+  EXPECT_EQ(JsonReader(Obj).numbers("a", Nums).error(),
+            "missing array field 'a'");
+  EXPECT_EQ(JsonReader(Obj).numbers("h", Nums).error(),
+            "field 'h' must hold numbers only");
+  EXPECT_EQ(JsonReader(Obj).string("absent", Str).error(),
+            "missing string field 'absent'");
+  // An absent optional field keeps its output; a non-object has no fields.
+  Str = "kept";
+  EXPECT_TRUE(JsonReader(Obj).string("absent", Str, JsonReader::Optional).ok());
+  EXPECT_EQ(Str, "kept");
+  EXPECT_FALSE(JsonReader(parsed("[1]")).number("0", Num).ok());
+}
+
+TEST(JsonReaderTest, IntegersMustBeExactAndInRange) {
+  JsonValue Obj = parsed(
+      "{\"ok\":4294967295,\"big\":4294967296,\"frac\":2.7,\"neg\":-1,"
+      "\"huge\":1e30,\"top\":9007199254740991,\"round\":9007199254740993,"
+      "\"exp\":3e2,\"str\":\"5\"}");
+  unsigned U32 = 0;
+  uint64_t U64 = 0;
+  EXPECT_TRUE(JsonReader(Obj).integer("ok", U32).ok());
+  EXPECT_EQ(U32, 4294967295u);
+  EXPECT_TRUE(JsonReader(Obj).integer("exp", U32).ok());
+  EXPECT_EQ(U32, 300u);
+  EXPECT_EQ(JsonReader(Obj).integer("big", U32).error(),
+            "field 'big' must be an integer from 0 to 4294967295");
+  EXPECT_FALSE(JsonReader(Obj).integer("frac", U32).ok());
+  EXPECT_FALSE(JsonReader(Obj).integer("neg", U64).ok());
+  EXPECT_FALSE(JsonReader(Obj).integer("huge", U64).ok());
+  EXPECT_TRUE(JsonReader(Obj).integer("top", U64).ok());
+  EXPECT_EQ(U64, MaxExactJsonInteger);
+  // 2^53 + 1 parses to 2^53, which is therefore refused too.
+  EXPECT_EQ(JsonReader(Obj).integer("round", U64).error(),
+            "field 'round' must be an integer from 0 to 9007199254740991");
+  EXPECT_EQ(JsonReader(Obj).integer("str", U64, JsonReader::Optional).error(),
+            "field 'str' must be an integer from 0 to 9007199254740991");
+  EXPECT_EQ(JsonReader(Obj).integer("str", U64).error(),
+            "missing numeric field 'str'");
+  // Refused reads leave their outputs alone.
+  U32 = 17;
+  EXPECT_FALSE(JsonReader(Obj).integer("frac", U32).ok());
+  EXPECT_EQ(U32, 17u);
+}
+
+TEST(JsonReaderTest, FirstFailureSticks) {
+  JsonValue Obj = parsed("{\"a\":\"x\",\"b\":2}");
+  std::string A;
+  double B = 0;
+  JsonReader Fields(Obj);
+  Fields.number("a", B).string("a", A).number("b", B);
+  EXPECT_EQ(Fields.error(), "missing numeric field 'a'");
+  EXPECT_TRUE(A.empty());
+  EXPECT_EQ(B, 0.0);
+  Fields.fail("later");
+  EXPECT_EQ(Fields.error(), "missing numeric field 'a'");
+}
+
+// Golden record lines, copied from the output of the hand-written
+// renderers this codec replaced: any drift in the ledger, journal or wire
+// bytes fails here, not only in an end-to-end byte diff.
+TEST(JsonGoldenTest, LedgerCellLinesRoundTripByteForByte) {
+  const std::string Lines[] = {
+      "{\"cell\":\"run|mvt|dynatree|alc|b1|seq:35|q=cost:0.1:0.03|r1|"
+      "fp=441ba9255a63990f\",\"iterations\":60,\"distinct\":19,"
+      "\"revisits\":1,\"observations\":190,\"skips\":45,"
+      "\"final_rmse\":0.02356730910531529,"
+      "\"total_cost_seconds\":85.37122743036102,\"curve\":[[0,"
+      "73.8796393727743,0.05338769198991019],[10,82.42657270795722,"
+      "0.025445248086256755],[20,85.37122743036102,0.02356730910531529],"
+      "[30,85.37122743036102,0.02356730910531529],[40,85.37122743036102,"
+      "0.02356730910531529],[50,85.37122743036102,0.02356730910531529],"
+      "[60,85.37122743036102,0.02356730910531529]]}\n",
+      "{\"cell\":\"noise|atax|fp=441ba9255a63990f\",\"noise\":["
+      "1.1935334583822796e-06,3.3026073532972136e-05,0.0011637683915980493,"
+      "0.0007304110749354871,0.0022726979025913655,0.022085847354970496,"
+      "0.0007700765048477394,0.004687793099993167,0.05847656116324933]}\n",
+  };
+  const CampaignCell::Kind Kinds[] = {CampaignCell::Kind::Run,
+                                      CampaignCell::Kind::Noise};
+  for (size_t I = 0; I != 2; ++I) {
+    std::string Key;
+    CellResult Result;
+    ASSERT_TRUE(parseCellLine(Lines[I], Key, Result)) << Lines[I];
+    EXPECT_EQ(cellLine(Key, Kinds[I], Result), Lines[I]);
+  }
+  std::string Key;
+  CellResult Run;
+  ASSERT_TRUE(parseCellLine(Lines[0], Key, Run));
+  EXPECT_EQ(Run.Run.Stats.Skips, 45u);
+  ASSERT_EQ(Run.Run.Curve.size(), 7u);
+  EXPECT_EQ(Run.Run.Curve[6].Iteration, 60u);
+  // A zero skip count is omitted, as in pre-policy ledgers.
+  Run.Run.Stats.Skips = 0;
+  EXPECT_EQ(cellLine(Key, CampaignCell::Kind::Run, Run).find("skips"),
+            std::string::npos);
+  // Lines the writer cannot produce are refused.
+  for (const char *Bad :
+       {"{\"cell\":\"k\",\"noise\":[1,2]}",
+        "{\"cell\":\"k\",\"iterations\":1.5,\"distinct\":1,\"revisits\":0,"
+        "\"observations\":1,\"final_rmse\":1,\"total_cost_seconds\":1,"
+        "\"curve\":[[0,1,1]]}",
+        "{\"cell\":\"k\",\"iterations\":1,\"distinct\":1,\"revisits\":0,"
+        "\"observations\":1,\"final_rmse\":1,\"total_cost_seconds\":1,"
+        "\"curve\":[[-1,1,1]]}",
+        "{\"cell\":\"k\",\"iterations\":1,\"distinct\":1,\"revisits\":0,"
+        "\"observations\":1,\"final_rmse\":1,\"total_cost_seconds\":1,"
+        "\"curve\":{}}"}) {
+    CellResult Result;
+    EXPECT_FALSE(parseCellLine(Bad, Key, Result)) << Bad;
+  }
+}
+
+TEST(JsonGoldenTest, WireRepliesAndJournalRecordsAreByteStable) {
+  ::setenv("ALIC_SCALE", "smoke", 1);
+  const std::string Dir = ::testing::TempDir() + "alic_json_golden";
+  std::filesystem::remove_all(Dir);
+  SessionSpec Spec;
+  Spec.Benchmark = "atax";
+  Spec.Scale = ExperimentScale::preset(ScaleKind::Smoke);
+  Spec.Scale.NumConfigs = 200;
+  Spec.Scale.NumInitial = 2;
+  Spec.Scale.InitObservations = 2;
+  Spec.Scale.MaxTrainingExamples = 4;
+  Spec.Scale.CandidatesPerIteration = 10;
+  Spec.Scale.ReferenceSetSize = 10;
+  Spec.Scale.Particles = 20;
+  Spec.Scale.TestSubset = 20;
+  Spec.Seed = 12345678901234567890ull;
+  Spec.DatasetSeed = 7;
+  Spec.Query.Kind = QueryPolicyKind::CostRange;
+  Spec.Query.Mellowness = 0.1234567890123;
+  ServeOptions Opts;
+  Opts.StateDir = Dir;
+  ServeEngine Engine(Opts);
+  std::string Err;
+  ASSERT_TRUE(Engine.openSession("gold", Spec, Err)) << Err;
+
+  const std::pair<const char *, const char *> Exchange[] = {
+      {"{\"op\":\"ping\"}", "{\"ok\":true,\"sessions\":1}"},
+      {"{\"op\":\"suggest\",\"session\":\"gold\"}",
+       "{\"ok\":true,\"phase\":\"explore\",\"ticket\":1,"
+       "\"observations_per_config\":2,\"configs\":[[1,0,23,14,20,0,41,39],"
+       "[27,5,29,23,1,20,40,20]],\"skipped\":[]}"},
+      {"{\"op\":\"observe\",\"session\":\"gold\",\"ticket\":1,"
+       "\"costs\":[0.5,0.25,1e-3,3]}",
+       "{\"ok\":true,\"observes\":1}"},
+      {"{\"op\":\"info\",\"session\":\"gold\"}",
+       "{\"ok\":true,\"phase\":\"refine\",\"iterations\":0,\"distinct\":2,"
+       "\"revisits\":0,\"observations\":4,\"queries\":0,\"skips\":0,"
+       "\"observes\":1,\"total_cost_seconds\":3.751,\"done\":false,"
+       "\"snapshot_dirty\":false}"},
+      {"{\"op\":\"open\",\"session\":\"w\",\"spec\":{\"benchmark\":\"atax\","
+       "\"max_examples\":4}}",
+       "{\"ok\":true,\"session\":\"w\"}"},
+      {"{\"op\":\"close\",\"session\":\"w\"}", "{\"ok\":true}"},
+      {"{\"op\":\"close\",\"session\":\"nope\"}",
+       "{\"ok\":false,\"error\":\"unknown session 'nope'\"}"},
+      {"{\"op\":\"shutdown\"}", "{\"ok\":true,\"bye\":true}"},
+  };
+  for (const auto &[Request, Want] : Exchange) {
+    std::string Reply;
+    handleRequestLine(Engine, Request, Reply);
+    EXPECT_EQ(Reply, Want) << Request;
+  }
+  // The RMSE itself is the model's business; its rendering is the codec's.
+  double Rmse = 0;
+  ASSERT_TRUE(Engine.evaluate("gold", Rmse, Err)) << Err;
+  std::string Reply;
+  handleRequestLine(Engine, "{\"op\":\"eval\",\"session\":\"gold\"}", Reply);
+  EXPECT_EQ(Reply, "{\"ok\":true,\"rmse\":" + formatJsonDouble(Rmse) + "}");
+
+  std::ifstream In(Dir + "/sess-gold.alsv");
+  std::string Header, Event, Rest;
+  ASSERT_TRUE(std::getline(In, Header) && std::getline(In, Event));
+  EXPECT_FALSE(std::getline(In, Rest));
+  EXPECT_EQ(Header,
+            "{\"alsv\":3,\"id\":\"gold\",\"benchmark\":\"atax\","
+            "\"model\":\"dynatree\",\"scorer\":\"alc\",\"plan\":\"seq:35\","
+            "\"policy\":\"cost:0.123457:0.03\",\"mellowness\":0.1234567890123,"
+            "\"range_c1\":0.03,\"abs_floor\":0,\"rel_floor\":0.05,"
+            "\"batch\":\"1\",\"seed\":\"12345678901234567890\","
+            "\"dataset_seed\":\"7\",\"num_configs\":\"200\","
+            "\"train_fraction\":0.75,\"mean_observations\":\"35\","
+            "\"num_initial\":\"2\",\"init_observations\":\"2\","
+            "\"max_examples\":\"4\",\"candidates\":\"10\","
+            "\"reference_set\":\"10\",\"particles\":\"20\","
+            "\"repetitions\":\"1\",\"eval_every\":\"10\",\"test_subset\":\"20\","
+            "\"observation_cap\":\"35\"}");
+  EXPECT_EQ(Event, "{\"n\":0,\"costs\":[0.5,0.25,0.001,3]}");
+  std::filesystem::remove_all(Dir);
+  ::unsetenv("ALIC_SCALE");
 }
 
 //===----------------------------------------------------------------------===//

@@ -70,6 +70,12 @@ TEST(ParamSpaceTest, EnumerateAllIsExhaustiveAndUnique) {
   EXPECT_EQ(Keys.size(), 32u);
 }
 
+TEST(ParamSpaceTest, EnumerateAllRefusesASpaceOverTheLimit) {
+  ParamSpace S = smallSpace();
+  EXPECT_EQ(S.enumerateAll(32).size(), 32u);
+  EXPECT_DEATH((void)S.enumerateAll(31), "32 configurations is too large");
+}
+
 TEST(ParamSpaceTest, ConfigAtIndexMatchesEnumeration) {
   ParamSpace S = smallSpace();
   std::vector<Config> All = S.enumerateAll();
