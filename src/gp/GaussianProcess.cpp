@@ -2,6 +2,7 @@
 
 #include "gp/GaussianProcess.h"
 
+#include "linalg/DotChains.h"
 #include "support/Error.h"
 #include "support/Rng.h"
 #include "support/Scheduler.h"
@@ -325,10 +326,12 @@ std::vector<double> GaussianProcess::alcScores(const FlatRows &Candidates,
              });
 
   // Candidates are scored in fixed-grid shards; each shard batches its
-  // kernel rows through one blocked multi-RHS solve, and every
-  // candidate's inner loops then run in the same order as the sequential
-  // per-candidate implementation, so the scores are bit-identical at any
-  // thread count.
+  // kernel rows through one blocked multi-RHS solve.  Each candidate's
+  // covariances run as four interleaved reference chains per pass, and
+  // every chain — and the reference-ordered Total — keeps the sequential
+  // per-candidate addend order, so the scores are bit-identical to it at
+  // any thread count.
+  size_t NumRef = Reference.size();
   std::vector<double> Scores(Candidates.size(), 0.0);
   shardedFor(Ctx.Pool, Candidates.size(), Ctx.ShardSize,
              [&](size_t, size_t Begin, size_t End) {
@@ -348,10 +351,18 @@ std::vector<double> GaussianProcess::alcScores(const FlatRows &Candidates,
         VarX -= Kx[I] * Wx[I];
       VarX = std::max(VarX, 1e-12) + Params.NoiseVariance;
       double Total = 0.0;
-      for (size_t R = 0; R != Reference.size(); ++R) {
-        double Cov = kernel(Reference[R], X);
-        for (size_t I = 0; I != N; ++I)
-          Cov -= RefK.at(R, I) * Wx[I];
+      size_t R = 0;
+      for (; R + 4 <= NumRef; R += 4) {
+        double Cov[4];
+        for (size_t J = 0; J != 4; ++J)
+          Cov[J] = kernel(Reference[R + J], X);
+        dotSubtract4(Cov, Wx, &RefK.at(R, 0), N, N);
+        for (size_t J = 0; J != 4; ++J)
+          Total += Cov[J] * Cov[J] / VarX;
+      }
+      for (; R != NumRef; ++R) {
+        double Cov =
+            dotSubtract(kernel(Reference[R], X), &RefK.at(R, 0), Wx, N);
         Total += Cov * Cov / VarX;
       }
       Scores[C] = Total;

@@ -2,6 +2,7 @@
 
 #include "linalg/Cholesky.h"
 
+#include "linalg/DotChains.h"
 #include "support/Error.h"
 #include "support/Scheduler.h"
 
@@ -12,17 +13,6 @@
 using namespace alic;
 
 namespace {
-
-/// Acc - sum_k A[k]*B[k], subtracted strictly in index order — the one
-/// inner loop every factorization and substitution path funnels
-/// through, so the scalar, blocked, extended, and multi-RHS paths all
-/// execute the identical floating-point operation sequence per element.
-inline double dotSubtract(double Acc, const double *A, const double *B,
-                          size_t Num) {
-  for (size_t K = 0; K != Num; ++K)
-    Acc -= A[K] * B[K];
-  return Acc;
-}
 
 /// Width of the serially factored diagonal panels.  The serial fraction
 /// of the blocked factorization is ~3*Panel/N of the flops, so 48 keeps
@@ -145,12 +135,20 @@ void Cholesky::solveInPlace(double *B) const {
 }
 
 void Cholesky::solveLowerManyInPlace(double *B, size_t NumRhs) const {
-  // Factor-row outer loop: row I streams from cache through every
-  // right-hand side.  Per right-hand side the arithmetic is exactly
-  // solveLowerInPlace()'s.
+  // Factor-row outer loop: row I streams from cache through the
+  // right-hand sides, four interleaved chains per pass.  Per right-hand
+  // side the arithmetic is exactly solveLowerInPlace()'s.
   for (size_t I = 0; I != N; ++I) {
     const double *RowI = row(I);
-    for (size_t R = 0; R != NumRhs; ++R) {
+    size_t R = 0;
+    for (; R + 4 <= NumRhs; R += 4) {
+      double *Rhs = B + R * N + I;
+      double Acc[4] = {Rhs[0], Rhs[N], Rhs[2 * N], Rhs[3 * N]};
+      dotSubtract4(Acc, RowI, B + R * N, N, I);
+      for (size_t J = 0; J != 4; ++J)
+        Rhs[J * N] = Acc[J] / RowI[I];
+    }
+    for (; R != NumRhs; ++R) {
       double *Rhs = B + R * N;
       Rhs[I] = dotSubtract(Rhs[I], RowI, Rhs, I) / RowI[I];
     }
@@ -162,18 +160,26 @@ void Cholesky::solveManyInPlace(double *B, size_t NumRhs) const {
   if (N == 0)
     return;
   // Back substitution: gather column I of L once, then stream it
-  // unit-stride through every right-hand side (same values in the same
-  // order as solveInPlace()'s strided walk).
+  // unit-stride through the right-hand sides, four per pass (same values
+  // in the same order as solveInPlace()'s strided walk).
   std::vector<double> Col(N);
   for (size_t I = N; I-- > 0;) {
     for (size_t K = I + 1; K != N; ++K)
       Col[K] = at(K, I);
+    const double *Tail = Col.data() + I + 1;
+    size_t Len = N - I - 1;
     double Dii = at(I, I);
-    for (size_t R = 0; R != NumRhs; ++R) {
+    size_t R = 0;
+    for (; R + 4 <= NumRhs; R += 4) {
+      double *Rhs = B + R * N + I;
+      double Acc[4] = {Rhs[0], Rhs[N], Rhs[2 * N], Rhs[3 * N]};
+      dotSubtract4(Acc, Tail, Rhs + 1, N, Len);
+      for (size_t J = 0; J != 4; ++J)
+        Rhs[J * N] = Acc[J] / Dii;
+    }
+    for (; R != NumRhs; ++R) {
       double *Rhs = B + R * N;
-      Rhs[I] = dotSubtract(Rhs[I], Col.data() + I + 1, Rhs + I + 1,
-                           N - I - 1) /
-               Dii;
+      Rhs[I] = dotSubtract(Rhs[I], Tail, Rhs + I + 1, Len) / Dii;
     }
   }
 }

@@ -27,16 +27,24 @@
 ///    bug that made n incremental GP updates cost O(n^3) in copies
 ///    alone.
 ///
-/// factorize() is panel-blocked and may fork the independent trailing
-/// rows of each panel onto a support/Scheduler.  Every element L(I,J) is
-/// still produced by the classic scalar recurrence — one k-ordered dot
-/// product over the final values of rows I and J — so the blocked,
-/// parallel factor is bit-identical to the sequential scalar loop at any
-/// worker count and steal order (determinism by construction: work is
-/// split *across* independent elements, no dot product's addends are
-/// ever reordered).  extend() reproduces the same recurrence for its one
-/// new row, which keeps the grown factor bit-identical to refactorizing
-/// from scratch.
+/// The determinism rule every path here keeps: independent dot-product
+/// chains may be split across workers or interleaved within one pass,
+/// but no chain's addend order may change and no product-subtract may be
+/// contracted into an FMA (the build pins -ffp-contract=off).  Every
+/// element is one k-ordered linalg/DotChains chain, so:
+///
+///  * factorize() is panel-blocked and may fork the independent trailing
+///    rows of each panel onto a support/Scheduler, yet every L(I,J) is
+///    still the classic scalar recurrence over the final values of rows
+///    I and J — bit-identical to the sequential scalar loop at any worker
+///    count and steal order;
+///
+///  * extend() reproduces the same recurrence for its one new row, which
+///    keeps the grown factor bit-identical to refactorizing from scratch;
+///
+///  * the multi-RHS solves advance four right-hand sides' chains per pass
+///    over a factor row or column (dotSubtract4), bit-identical to
+///    independent single-RHS solves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,14 +116,15 @@ public:
   /// row-major right-hand sides of size() entries each, each overwritten
   /// with its solution of L y = b.  Each right-hand side receives
   /// exactly the arithmetic of solveLowerInPlace() — the factor row is
-  /// simply reused across all of them from cache — so the results are
-  /// bit-identical to NumRhs independent solves.
+  /// reused from cache across four interleaved right-hand sides per
+  /// pass — so the results are bit-identical to NumRhs independent
+  /// solves.
   void solveLowerManyInPlace(double *B, size_t NumRhs) const;
 
   /// Blocked multi-RHS full solve (forward then transposed-backward
   /// substitution) over \p NumRhs row-major right-hand sides; the
   /// back-substitution gathers each column of L once into scratch and
-  /// streams it unit-stride through every right-hand side.
+  /// streams it unit-stride through four right-hand sides per pass.
   /// Bit-identical to NumRhs independent solveInPlace() calls.
   void solveManyInPlace(double *B, size_t NumRhs) const;
 

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// A small dense row-major matrix type: exactly what exact Gaussian-process
-/// inference needs (symmetric solves, products), nothing more.  The paper
+/// inference needs (a kernel matrix to factor), nothing more.  The paper
 /// cites the O(n^3) cost of GP inference as the reason to prefer dynamic
 /// trees; src/gp builds on this module to reproduce that comparison.
 ///
@@ -32,9 +32,6 @@ public:
   /// Creates a \p Rows x \p Cols matrix filled with \p Fill.
   Matrix(size_t Rows, size_t Cols, double Fill = 0.0);
 
-  /// Returns the \p N x \p N identity.
-  static Matrix identity(size_t N);
-
   /// Number of rows.
   size_t rows() const { return NumRows; }
   /// Number of columns.
@@ -44,21 +41,6 @@ public:
   double &at(size_t Row, size_t Col) { return Data[Row * NumCols + Col]; }
   /// Entry (\p Row, \p Col) of the row-major buffer.
   double at(size_t Row, size_t Col) const { return Data[Row * NumCols + Col]; }
-
-  /// Matrix-matrix product; dimensions must agree.
-  Matrix multiply(const Matrix &Rhs) const;
-
-  /// Matrix-vector product; \p X must have cols() entries.
-  std::vector<double> multiply(const std::vector<double> &X) const;
-
-  /// Transpose.
-  Matrix transpose() const;
-
-  /// Adds \p Value to every diagonal entry (jitter/noise term).
-  void addToDiagonal(double Value);
-
-  /// Maximum absolute entry difference against \p Rhs (must match shape).
-  double maxAbsDiff(const Matrix &Rhs) const;
 
 private:
   size_t NumRows = 0;

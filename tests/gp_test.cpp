@@ -1,12 +1,15 @@
 //===- tests/gp_test.cpp - Gaussian-process tests -------------*- C++ -*-===//
 
 #include "gp/GaussianProcess.h"
+#include "linalg/Cholesky.h"
 #include "support/Rng.h"
 #include "support/Scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
 using namespace alic;
 
@@ -40,6 +43,55 @@ void makeSample(size_t N, uint64_t Seed, std::vector<std::vector<double>> &X,
     Y.push_back(std::sin(X.back()[0]) + 0.3 * X.back()[1] +
                 0.02 * R.nextGaussian());
   }
+}
+
+/// Exact-GP ALC scores computed one candidate and one reference at a
+/// time: K^-1 k_x by an independent solve, then each covariance as its
+/// own index-ordered subtract chain.  This is the formula alcScores()
+/// must reproduce bit for bit, however it batches and interleaves.
+std::vector<double>
+naiveAlcScores(const std::vector<std::vector<double>> &X,
+               const GpHyperParams &P,
+               const std::vector<std::vector<double>> &Cands,
+               const std::vector<std::vector<double>> &Ref) {
+  auto Kernel = [&](const std::vector<double> &A,
+                    const std::vector<double> &B) {
+    return P.SignalVariance *
+           std::exp(-0.5 * squaredDistance(A, B) /
+                    (P.LengthScale * P.LengthScale));
+  };
+  size_t N = X.size();
+  Matrix K(N, N);
+  for (size_t I = 0; I != N; ++I) {
+    for (size_t J = 0; J <= I; ++J)
+      K.at(I, J) = Kernel(X[I], X[J]);
+    K.at(I, I) += P.NoiseVariance + 1e-10;
+  }
+  std::optional<Cholesky> F = Cholesky::factorize(K);
+  if (!F) {
+    ADD_FAILURE() << "oracle kernel matrix is not positive definite";
+    return {};
+  }
+  std::vector<double> Scores;
+  for (const std::vector<double> &Xc : Cands) {
+    std::vector<double> Kx(N);
+    for (size_t I = 0; I != N; ++I)
+      Kx[I] = Kernel(Xc, X[I]);
+    std::vector<double> Wx = F->solve(Kx);
+    double VarX = P.SignalVariance;
+    for (size_t I = 0; I != N; ++I)
+      VarX -= Kx[I] * Wx[I];
+    VarX = std::max(VarX, 1e-12) + P.NoiseVariance;
+    double Total = 0.0;
+    for (const std::vector<double> &Xr : Ref) {
+      double Cov = Kernel(Xr, Xc);
+      for (size_t I = 0; I != N; ++I)
+        Cov -= Kernel(Xr, X[I]) * Wx[I];
+      Total += Cov * Cov / VarX;
+    }
+    Scores.push_back(Total);
+  }
+  return Scores;
 }
 
 } // namespace
@@ -222,6 +274,36 @@ TEST(GpTest, ParallelAlcBitIdenticalToSequential) {
     Ctx.Pool = &Pool;
     EXPECT_EQ(M.alcScores(Cands, Ref, Ctx), Sequential)
         << "thread count " << Threads;
+  }
+}
+
+TEST(GpTest, AlcBitIdenticalToNaiveOracle) {
+  // alcScores() interleaves four reference chains per pass and solves
+  // candidates four at a time; 37 candidates (shards of 32 and 5) leave
+  // a candidate tail, and the reference counts cover every remainder
+  // mod 4.
+  std::vector<std::vector<double>> X;
+  std::vector<double> Y;
+  makeSample(45, 19, X, Y);
+  GaussianProcess M(fixedConfig());
+  M.fit(X, Y);
+
+  Rng R(20);
+  std::vector<std::vector<double>> Cands;
+  for (int I = 0; I != 37; ++I)
+    Cands.push_back({R.nextUniform(-2, 2), R.nextUniform(-2, 2)});
+  Scheduler Pool(4);
+  for (size_t NumRef : {0, 1, 3, 4, 5, 50}) {
+    std::vector<std::vector<double>> Ref;
+    for (size_t I = 0; I != NumRef; ++I)
+      Ref.push_back({R.nextUniform(-2, 2), R.nextUniform(-2, 2)});
+    std::vector<double> Oracle =
+        naiveAlcScores(X, M.hyperParams(), Cands, Ref);
+    EXPECT_EQ(M.alcScores(Cands, Ref), Oracle) << NumRef << " references";
+    ScoreContext Ctx;
+    Ctx.Pool = &Pool;
+    EXPECT_EQ(M.alcScores(Cands, Ref, Ctx), Oracle)
+        << NumRef << " references, 4 workers";
   }
 }
 
